@@ -2,8 +2,9 @@
 
 Not a paper table: this measures the *reproduction's own* host execution
 engine (``repro.sparse.segment``), which every simulated kernel, sweep
-cell and training epoch runs on.  Four best-of timings, each engine-off
-vs. engine-on with interleaved reps:
+cell and training epoch runs on.  The oracle-ratio timings come from
+``host_microbench.py``: each pits a parity oracle from ``tests/oracles/``
+against the production path, best-of with interleaved reps:
 
 * plus-/max-semiring ``reference_spmm_like`` (recorded, no floor — the
   raw reduction swap is a modest win on modern NumPy's fast ``ufunc.at``),
@@ -40,11 +41,8 @@ host timing noise can never fail ``make gate``.
 
 from pathlib import Path
 
-from repro.bench.hostbench import (
-    format_result_line,
-    run_host_microbench,
-    update_bench_json_host,
-)
+from host_microbench import run_host_microbench
+from repro.bench.hostbench import format_result_line, update_bench_json_host
 
 #: Asserted floors (see ISSUE/docs): generous margin below the typical
 #: measurements (~3.2-3.4x, ~2.5-2.8x, and >10x for the counting grid)

@@ -27,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 #: ISSUE contract: the tiled executor's transient peak must be flat in
 #: N (typical ratio ~1.0; the untiled path's is ~16x at these widths).
@@ -50,7 +51,7 @@ _MALLOC_ENV = {
 
 _CHILD = """\
 import json
-from repro.bench.hostbench import bench_tiled_peak, bench_tiled_spmm
+from host_microbench import bench_tiled_peak, bench_tiled_spmm
 print(json.dumps({
     "peak": bench_tiled_peak(),
     "spmm": bench_tiled_spmm(),
@@ -58,7 +59,15 @@ print(json.dumps({
 """
 
 
+#: The child imports ``host_microbench`` (this directory), ``repro``
+#: (``src``) and the oracles it times against (``tests.oracles``).
+_HERE = Path(__file__).resolve().parent
+_CHILD_PATH = [str(_HERE), str(_HERE.parent), str(_HERE.parent / "src")]
+
+
 def _measure_fresh() -> dict:
+    path = os.pathsep.join(_CHILD_PATH + [os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **_MALLOC_ENV, "PYTHONPATH": path}
     best = None
     for _ in range(1 + RETRIES):
         proc = subprocess.run(
@@ -66,7 +75,7 @@ def _measure_fresh() -> dict:
             capture_output=True,
             text=True,
             check=True,
-            env={**os.environ, **_MALLOC_ENV},
+            env=env,
         )
         r = json.loads(proc.stdout.splitlines()[-1])
         if best is None or r["spmm"]["speedup"] > best["spmm"]["speedup"]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.core.simple import SimpleSpMM
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts

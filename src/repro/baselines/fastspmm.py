@@ -23,7 +23,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats

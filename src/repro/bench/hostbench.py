@@ -1,29 +1,12 @@
-"""Host-execution microbenchmark: segment engine vs. scatter oracles.
+"""Host-execution microbenchmark building blocks.
 
-The simulator's numeric substrate *is* the host CPU, so the segmented-
-reduction engine (:mod:`repro.sparse.segment`) is a genuine performance
-change even though the paper's subject is a GPU kernel: every simulated
-training epoch, every sweep cell and every conformance check runs
-``reference_spmm_like`` on the host.  This module measures the three
-paths the engine accelerates —
-
-* plus-semiring SpMM (``np.add.at`` scatter vs. ``np.add.reduceat``),
-* max aggregation forward+backward (the GraphSAGE-pool hot path, where
-  the old backward closure kept an ``(nnz, N)`` array alive), and
-* full-batch GCN training wall-clock end to end —
-
-each timed best-of-``reps`` under both engine toggles, on a power-law
-graph shaped so aggregation (not the dense layer matmuls) dominates.
-
-Numbers land in ``BENCH_spmm.json`` under ``run.host.microbench`` via
-:func:`update_bench_json_host` — inside the ``run`` block the regression
-gate deliberately ignores (it diffs cells and geomeans only), so host
-timing noise can never fail ``make gate``.
-
-Run it via ``make microbench`` (pytest, asserts the speedup floors) or
-directly::
-
-    PYTHONPATH=src python -m repro.bench.hostbench
+The benchmark graphs, a best-of timer, the incremental-delta,
+disk-cache and corpus-stream measurements, and the writer that records
+results in ``BENCH_spmm.json`` under ``run.host.microbench`` — inside
+the ``run`` block the regression gate ignores, so host timing noise can
+never fail ``make gate``.  The measurements that time a production path
+against a parity oracle from ``tests/oracles/`` live in
+``benchmarks/host_microbench.py``; ``make microbench`` runs both.
 """
 
 from __future__ import annotations
@@ -35,25 +18,15 @@ from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.semiring import MAX_TIMES, PLUS_TIMES
 from repro.sparse import power_law
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.segment import use_segment_engine
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = [
     "best_of",
-    "bench_spmm_like",
-    "bench_aggregate_max",
-    "bench_gcn_training",
-    "bench_count_grid",
     "bench_delta_apply",
     "bench_disk_cache_sweep",
     "bench_corpus_stream",
-    "bench_tiled_spmm",
-    "bench_tiled_peak",
     "format_result_line",
-    "run_host_microbench",
     "update_bench_json_host",
 ]
 
@@ -69,9 +42,6 @@ _RED_M, _RED_NNZ = 12_000, 600_000
 #: GCN training benchmark graph: aggregation-heavy but small enough that
 #: a full multi-epoch train fits in a few hundred milliseconds.
 _GCN_M, _GCN_NNZ, _GCN_FEATURES = 12_000, 160_000, 64
-#: Counting benchmark graph: large enough that the O(nnz) array
-#: expansions in the oracle counters dominate count() wall-clock.
-_GRID_M, _GRID_NNZ = 8_000, 300_000
 
 
 def best_of(fn: Callable[[], Any], reps: int = 5, warmup: int = 1) -> float:
@@ -92,62 +62,6 @@ def best_of(fn: Callable[[], Any], reps: int = 5, warmup: int = 1) -> float:
 
 def _bench_graph(m: int = _RED_M, nnz: int = _RED_NNZ, seed: int = 0) -> CSRMatrix:
     return power_law(m, nnz, seed=seed, weighted=True)
-
-
-def _toggle_times(fn: Callable[[], Any], reps: int) -> Dict[str, float]:
-    """Time ``fn`` under both engine toggles, interleaved rep by rep so
-    machine noise hits both sides equally; one warmup call per toggle
-    first, which also leaves the derived-array caches equally warm."""
-    best = {False: float("inf"), True: float("inf")}
-    for enabled in (False, True):
-        with use_segment_engine(enabled):
-            fn()
-    for _ in range(reps):
-        for enabled in (False, True):
-            with use_segment_engine(enabled):
-                t0 = time.perf_counter()
-                fn()
-                best[enabled] = min(best[enabled], time.perf_counter() - t0)
-    scatter_s, segment_s = best[False], best[True]
-    return {
-        "scatter_s": scatter_s,
-        "segment_s": segment_s,
-        "speedup": scatter_s / segment_s if segment_s > 0 else float("inf"),
-    }
-
-
-def bench_spmm_like(
-    semiring=PLUS_TIMES,
-    m: int = _RED_M,
-    nnz: int = _RED_NNZ,
-    n: int = 16,
-    reps: int = 5,
-) -> Dict[str, float]:
-    """Scatter vs. segment ``reference_spmm_like`` on one semiring."""
-    a = _bench_graph(m, nnz)
-    b = np.random.default_rng(1).standard_normal((a.ncols, n)).astype(np.float32)
-    return _toggle_times(lambda: reference_spmm_like(a, b, semiring), reps)
-
-
-def bench_aggregate_max(
-    m: int = _RED_M, nnz: int = _RED_NNZ, n: int = 8, reps: int = 7
-) -> Dict[str, float]:
-    """Max-aggregation forward+backward (the GraphSAGE-pool hot path)."""
-    from repro.gnn.aggregate import GraphPair, aggregate_max
-    from repro.gnn.tensor import Tensor
-
-    g = GraphPair(_bench_graph(m, nnz))
-    data = np.random.default_rng(1).standard_normal((g.adj.ncols, n)).astype(np.float32)
-    grad = np.random.default_rng(2).standard_normal((g.adj.nrows, n)).astype(np.float32)
-    no_cost = lambda *a, **k: 0.0
-    no_record = lambda *a, **k: None
-
-    def step():
-        x = Tensor(data, requires_grad=True)
-        y = aggregate_max(g, x, no_cost, no_cost, no_record)
-        y.backward(grad)
-
-    return _toggle_times(step, reps)
 
 
 def _synthetic_citation(
@@ -185,82 +99,6 @@ def _synthetic_citation(
         test_mask=test_mask,
         n_classes=n_classes,
     )
-
-
-def bench_gcn_training(
-    epochs: int = 3, m: int = _GCN_M, nnz: int = _GCN_NNZ, reps: int = 3
-) -> Dict[str, float]:
-    """Full-batch GCN training wall-clock, engine off vs. on.
-
-    A fresh model per call keeps the numeric work identical across reps;
-    the kernel-estimate memo warms up during ``best_of``'s warmup call so
-    both toggles are measured with the same memo state.
-    """
-    from repro.gnn import DGLBackend, GCN, SimDevice, train
-    from repro.gpusim import GTX_1080TI
-
-    ds = _synthetic_citation(m, nnz)
-
-    def step():
-        model = GCN(ds.feature_dim, 16, ds.n_classes, rng=np.random.default_rng(0))
-        backend = DGLBackend(SimDevice(GTX_1080TI), use_gespmm=True)
-        train(model, backend, ds, epochs=epochs, warmup=0)
-
-    return _toggle_times(step, reps)
-
-
-def bench_count_grid(reps: int = 3) -> Dict[str, Any]:
-    """Cold full-grid analytic ``count()`` pass: oracle array-expansion
-    counters vs. the :class:`~repro.core.access_profile.AccessProfile`
-    closed forms.
-
-    The grid spans four kernels x three widths (aligned 32 plus unaligned
-    250 and 7) x both GPU presets — the shape of one sweep's analytic
-    work for a single graph.  The profile is dropped before every profile
-    rep, so its side *includes* the one-off O(nnz) histogram build (a
-    cold sweep's true cost); reps are interleaved so machine noise hits
-    both sides equally.
-    """
-    from repro.core import CRCSpMM, CWMSpMM, GESpMM, SimpleSpMM
-    from repro.core._counting import use_oracle_counters
-    from repro.core.access_profile import clear_access_profile
-    from repro.gpusim import GTX_1080TI, RTX_2080
-
-    a = _bench_graph(_GRID_M, _GRID_NNZ)
-    kernels = [SimpleSpMM(), CRCSpMM(), CWMSpMM(2), GESpMM()]
-    widths = [32, 250, 7]
-    gpus = [GTX_1080TI, RTX_2080]
-
-    def grid():
-        for kern in kernels:
-            for n in widths:
-                for gpu in gpus:
-                    kern.count(a, n, gpu)
-
-    def oracle_pass():
-        with use_oracle_counters():
-            grid()
-
-    def profile_pass():
-        clear_access_profile(a)  # cold: pay the histogram build every rep
-        grid()
-
-    best = {"oracle": float("inf"), "profile": float("inf")}
-    oracle_pass()
-    profile_pass()
-    for _ in range(reps):
-        for name, fn in (("oracle", oracle_pass), ("profile", profile_pass)):
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    oracle_s, profile_s = best["oracle"], best["profile"]
-    return {
-        "grid": {"kernels": len(kernels), "widths": widths,
-                 "gpus": len(gpus), "m": _GRID_M, "nnz": _GRID_NNZ},
-        "oracle_s": oracle_s,
-        "profile_s": profile_s,
-        "speedup": oracle_s / profile_s if profile_s > 0 else float("inf"),
-    }
 
 
 def bench_delta_apply(
@@ -466,152 +304,6 @@ def bench_corpus_stream(
     }
 
 
-#: Tiled-executor benchmark graph: wide features (N=256) on a power-law
-#: graph whose (nnz, N) contributions array blows past the LLC — the
-#: regime the column-tiled executor targets (the host analogue of the
-#: paper's Coarse-grained Warp Merging: load the sparse row once, reuse
-#: it across feature tiles).
-_TILED_M, _TILED_NNZ, _TILED_N = 10_000, 400_000, 256
-#: Peak-memory benchmark graph + widths: the tiled executor's transient
-#: footprint is O(nnz*T) regardless of N, so the wide/narrow peak ratio
-#: must stay near 1 where the untiled path's grows like wide/narrow.
-_PEAK_M, _PEAK_NNZ = 10_000, 100_000
-_PEAK_NARROW, _PEAK_WIDE = 64, 1024
-
-
-def bench_tiled_spmm(
-    m: int = _TILED_M, nnz: int = _TILED_NNZ, n: int = _TILED_N, reps: int = 5
-) -> Dict[str, Any]:
-    """Column-tiled vs. untiled wide-N SpMM (engine on for both sides).
-
-    Interleaved best-of under the tiling toggle, same discipline as
-    :func:`_toggle_times`; the untiled side is the pre-tiling engine body
-    (one O(nnz*N) contributions temporary), the tiled side streams
-    ``tile_width_for``-sized column tiles through the pooled workspace.
-    """
-    from repro.sparse.segment import tile_width_for, use_tiling
-
-    a = _bench_graph(m, nnz, seed=5)
-    b = np.random.default_rng(1).standard_normal((a.ncols, n)).astype(np.float32)
-    fn = lambda: reference_spmm_like(a, b, PLUS_TIMES)
-    best = {False: float("inf"), True: float("inf")}
-    for tiled in (False, True):
-        with use_tiling(tiled):
-            fn()
-    for _ in range(reps):
-        for tiled in (False, True):
-            with use_tiling(tiled):
-                t0 = time.perf_counter()
-                fn()
-                best[tiled] = min(best[tiled], time.perf_counter() - t0)
-    untiled_s, tiled_s = best[False], best[True]
-    return {
-        "graph": {"kind": "power_law", "m": m, "nnz": int(a.nnz)},
-        "n": n,
-        "tile_width": tile_width_for(a.nnz, n),
-        "untiled_s": untiled_s,
-        "tiled_s": tiled_s,
-        "speedup": untiled_s / tiled_s if tiled_s > 0 else float("inf"),
-    }
-
-
-def bench_tiled_peak(
-    m: int = _PEAK_M,
-    nnz: int = _PEAK_NNZ,
-    narrow: int = _PEAK_NARROW,
-    wide: int = _PEAK_WIDE,
-) -> Dict[str, Any]:
-    """Transient peak memory of one SpMM at a narrow vs. a wide N.
-
-    ``tracemalloc`` traces only the call itself: the operand and the
-    output are preallocated outside the traced window (the serving-layer
-    steady state ``segment_spmm_like``'s ``out=`` exists for), and the
-    workspace pool is cleared before each measurement so every width pays
-    its own workspace allocation.  Tiled peaks are O(nnz*T) — flat in N —
-    so ``tiled.peak_ratio`` stays near 1 while ``untiled.peak_ratio``
-    tracks ``wide / narrow`` (~16x at the defaults).
-    """
-    import tracemalloc
-
-    from repro.sparse.segment import (
-        clear_workspace_pool,
-        segment_spmm_like,
-        use_tiling,
-    )
-
-    a = _bench_graph(m, nnz, seed=6)
-    # Derived arrays (colind64, rowptr64, row_lengths) are process-lived
-    # caches, not per-call transients: build them outside the window.
-    a.colind64(), a.rowptr64(), a.row_lengths(), a.coo_rows()
-    rng = np.random.default_rng(2)
-    operands = {
-        n: (
-            rng.standard_normal((a.ncols, n)).astype(np.float32),
-            np.empty((a.nrows, n), dtype=np.float32),
-        )
-        for n in (narrow, wide)
-    }
-
-    def peak_bytes(n: int, tiled: bool) -> int:
-        b, out = operands[n]
-        clear_workspace_pool()
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            with use_tiling(tiled):
-                segment_spmm_like(a, b, PLUS_TIMES, out=out)
-            _cur, peak = tracemalloc.get_traced_memory()
-        finally:
-            if started:
-                tracemalloc.stop()
-        clear_workspace_pool()
-        return peak
-
-    result: Dict[str, Any] = {
-        "graph": {"kind": "power_law", "m": m, "nnz": int(a.nnz)},
-        "narrow_n": narrow,
-        "wide_n": wide,
-    }
-    for label, tiled in (("tiled", True), ("untiled", False)):
-        lo, hi = peak_bytes(narrow, tiled), peak_bytes(wide, tiled)
-        result[label] = {
-            "narrow_peak_bytes": lo,
-            "wide_peak_bytes": hi,
-            "peak_ratio": hi / lo if lo else float("inf"),
-        }
-    return result
-
-
-def run_host_microbench(
-    reps: int = 5, train_reps: int = 3, epochs: int = 3
-) -> Dict[str, Any]:
-    """All host microbenchmarks; the ``run.host.microbench`` payload.
-
-    ``delta_apply`` runs first: its incremental side is the only
-    sub-5ms timing here, and the other benches' large temporary
-    allocations leave the process heap in a state (memory returned to
-    the OS, page-faulted back per rep) that taxes it by a constant
-    ~1ms — measuring it on a fresh heap keeps the floor stable.
-    """
-    return {
-        "reduction_graph": {"kind": "power_law", "m": _RED_M, "nnz": _RED_NNZ},
-        "gcn_graph": {"kind": "power_law", "m": _GCN_M, "nnz": _GCN_NNZ,
-                      "feature_dim": _GCN_FEATURES},
-        "delta_apply": bench_delta_apply(),
-        "spmm_plus": bench_spmm_like(PLUS_TIMES, reps=reps),
-        "spmm_max": bench_spmm_like(MAX_TIMES, reps=reps),
-        "tiled_spmm": bench_tiled_spmm(reps=reps),
-        "tiled_peak": bench_tiled_peak(),
-        "aggregate_max": bench_aggregate_max(),
-        "gcn_train": bench_gcn_training(epochs=epochs, reps=train_reps),
-        "count_grid": bench_count_grid(),
-        "disk_cache": bench_disk_cache_sweep(),
-        "corpus_stream": bench_corpus_stream(),
-    }
-
-
 def update_bench_json_host(
     results: Dict[str, Any], path: PathLike = "BENCH_spmm.json"
 ) -> Optional[Dict[str, Any]]:
@@ -645,32 +337,3 @@ def format_result_line(name: str, r: Dict[str, Any]) -> Optional[str]:
     slow, fast = sorted(sides, key=r.get, reverse=True)
     return (f"{name:15s} {slow[:-2]:8s} {r[slow] * 1e3:8.2f} ms   "
             f"{fast[:-2]:8s} {r[fast] * 1e3:8.2f} ms   {r['speedup']:5.2f}x")
-
-
-def main() -> int:  # pragma: no cover - convenience entry point
-    results = run_host_microbench()
-    for name, r in results.items():
-        line = format_result_line(name, r)
-        if line:
-            print(line)
-    dc = results["disk_cache"]
-    print(f"disk_cache      cold {dc['cold_s'] * 1e3:8.2f} ms   "
-          f"warm {dc['warm_s'] * 1e3:8.2f} ms   "
-          f"misses {dc['warm_memo_misses']}  identical {dc['byte_identical']}")
-    tp = results["tiled_peak"]
-    print(f"tiled_peak      N {tp['narrow_n']}->{tp['wide_n']}   "
-          f"tiled ratio {tp['tiled']['peak_ratio']:.2f}x   "
-          f"untiled ratio {tp['untiled']['peak_ratio']:.2f}x")
-    cs = results["corpus_stream"]
-    print(f"corpus_stream   {cs['matrices']} matrices / {cs['shards']} shards "
-          f"in {cs['wall_s']:.2f}s   peak ratio {cs['peak_ratio']:.2f} "
-          f"(first {cs['first_shard_peak_bytes']}, "
-          f"later max {cs['max_later_peak_bytes']})")
-    updated = update_bench_json_host(results)
-    if updated is not None:
-        print("recorded under run.host.microbench in BENCH_spmm.json")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -21,6 +19,7 @@ from repro import obs
 from repro.bench.diskcache import get_disk_cache
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import SpMMKernel
+from repro.lru import LRUMemo
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import flops_of_spmm
 
@@ -128,21 +127,14 @@ def csr_fingerprint(a: CSRMatrix) -> str:
 
 #: (kernel.cache_key(), csr_fingerprint, n, gpu.name)
 #:   -> (time_s, gflops, attribution)
-#: Recency-ordered so an optional LRU cap (corpus-scale streaming) can
-#: evict the coldest cells; unbounded by default.
-_SWEEP_CACHE: "OrderedDict[tuple, Tuple[float, float, Optional[Dict[str, Any]]]]" = (
-    OrderedDict()
-)
-_SWEEP_CACHE_LOCK = threading.Lock()
-#: None = unlimited — the historical default, unchanged for existing
-#: sweeps.  ``repro.bench.corpus`` caps it while streaming a corpus.
-_SWEEP_CACHE_LIMIT: Optional[int] = None
+#: Unbounded by default; ``repro.bench.corpus`` caps it while streaming
+#: a corpus.
+_SWEEP_CACHE = LRUMemo("sweep.memo")
 
 
 def clear_sweep_cache() -> None:
     """Drop all memoized sweep cells (for tests and long-lived hosts)."""
-    with _SWEEP_CACHE_LOCK:
-        _SWEEP_CACHE.clear()
+    _SWEEP_CACHE.clear()
 
 
 def invalidate_sweep_cells_for(fingerprint: str) -> int:
@@ -150,16 +142,10 @@ def invalidate_sweep_cells_for(fingerprint: str) -> int:
 
     The targeted alternative to :func:`clear_sweep_cache` for dynamic
     graphs (``repro.sparse.delta``): only the superseded matrix's cells
-    — ``key[1]`` is the fingerprint component — are reclaimed.  Returns
-    the number dropped (also counted as ``sweep.memo.invalidations``).
+    are reclaimed.  Returns the number dropped (also counted as
+    ``sweep.memo.invalidations``).
     """
-    with _SWEEP_CACHE_LOCK:
-        stale = [k for k in _SWEEP_CACHE if k[1] == fingerprint]
-        for k in stale:
-            del _SWEEP_CACHE[k]
-    if stale:
-        obs.get_registry().counter("sweep.memo.invalidations").inc(len(stale))
-    return len(stale)
+    return _SWEEP_CACHE.invalidate(fingerprint)
 
 
 def set_sweep_cache_limit(limit: Optional[int]) -> Optional[int]:
@@ -167,44 +153,12 @@ def set_sweep_cache_limit(limit: Optional[int]) -> Optional[int]:
     (``sweep.memo.evictions`` counts the drops); ``None`` removes the cap
     (the default).  Returns the previous limit so callers can restore it.
     """
-    global _SWEEP_CACHE_LIMIT
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be a positive int or None, got {limit!r}")
-    with _SWEEP_CACHE_LOCK:
-        prev = _SWEEP_CACHE_LIMIT
-        _SWEEP_CACHE_LIMIT = limit
-        evicted = _trim_sweep_cache_locked()
-    if evicted:
-        obs.get_registry().counter("sweep.memo.evictions").inc(evicted)
-    return prev
+    return _SWEEP_CACHE.set_limit(limit)
 
 
 def get_sweep_cache_limit() -> Optional[int]:
     """The current sweep-memo cell cap (None = unlimited)."""
-    with _SWEEP_CACHE_LOCK:
-        return _SWEEP_CACHE_LIMIT
-
-
-def _trim_sweep_cache_locked() -> int:
-    """Evict LRU cells down to the cap; caller holds the lock."""
-    evicted = 0
-    if _SWEEP_CACHE_LIMIT is not None:
-        while len(_SWEEP_CACHE) > _SWEEP_CACHE_LIMIT:
-            _SWEEP_CACHE.popitem(last=False)
-            evicted += 1
-    return evicted
-
-
-def _sweep_cache_put(
-    memo_key: tuple, cell: Tuple[float, float, Optional[Dict[str, Any]]]
-) -> None:
-    """Insert into the sweep memo, LRU-trimming past the cap."""
-    with _SWEEP_CACHE_LOCK:
-        _SWEEP_CACHE[memo_key] = cell
-        _SWEEP_CACHE.move_to_end(memo_key)
-        evicted = _trim_sweep_cache_locked()
-    if evicted:
-        obs.get_registry().counter("sweep.memo.evictions").inc(evicted)
+    return _SWEEP_CACHE.limit
 
 
 def _cell_values(
@@ -223,22 +177,19 @@ def _cell_values(
     """
     disk = get_disk_cache() if memo_key is not None else None
     if memo_key is not None:
-        with _SWEEP_CACHE_LOCK:
-            hit = _SWEEP_CACHE.get(memo_key)
-            if hit is not None:
-                _SWEEP_CACHE.move_to_end(memo_key)  # refresh LRU recency
+        hit = _SWEEP_CACHE.get(memo_key)
         if hit is not None:
             return hit[0], hit[1], hit[2], True
         if disk is not None:
             cell = disk.get_cell(memo_key)
             if cell is not None:
-                _sweep_cache_put(memo_key, cell)
+                _SWEEP_CACHE.put(memo_key, cell)
                 return cell[0], cell[1], cell[2], True
     t = kernel.estimate(graph, n, gpu)
     gflops = t.gflops(flops_of_spmm(graph, n))
     attribution = t.attribution()
     if memo_key is not None:
-        _sweep_cache_put(memo_key, (t.time_s, gflops, attribution))
+        _SWEEP_CACHE.put(memo_key, (t.time_s, gflops, attribution))
         if disk is not None:
             disk.put_cell(memo_key, t.time_s, gflops, attribution)
     return t.time_s, gflops, attribution, False

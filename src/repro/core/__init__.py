@@ -10,7 +10,7 @@ from repro.core.crc import CRCSpMM
 from repro.core.cwm import CWMSpMM
 from repro.core.gespmm import ADAPTIVE_THRESHOLD, DEFAULT_CF, GESpMM, gespmm, gespmm_like
 from repro.core.mergepath import MergePartition, MergePathSpMM, merge_path_partition
-from repro.core.semiring import (
+from repro.semiring import (
     MAX_TIMES,
     MEAN_TIMES,
     MIN_TIMES,

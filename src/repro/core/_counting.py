@@ -11,15 +11,14 @@ the access patterns those kernels share:
 * coalesced 32-element sparse tile loads (CRC),
 * broadcast walks over a sparse row (Algorithm 1, SpMV-style kernels).
 
-By default every counter routes through the per-matrix
+Every counter routes through the per-matrix
 :class:`~repro.core.access_profile.AccessProfile` — histogram closed
 forms computed once per matrix and shared across all kernels, widths,
-and GPUs.  The original array-expansion implementations are preserved
-verbatim below as ``*_oracle`` functions (the repo's scatter-oracle /
-trace-loop contract) and enforced as bit-exact parity oracles by
-``tests/test_access_profile.py``; ``set_profile_counters(False)`` /
-``use_oracle_counters()`` flip the public functions back onto them
-(parity tests, ``make microbench``).
+and GPUs.  The original array-expansion implementations live in the
+test tree (``tests/oracles/counting.py``) and are enforced as bit-exact
+parity oracles by ``tests/test_access_profile.py``.  Kernels call the
+counters as ``cnt.<counter>`` through this module, so tests and the
+microbenchmark swap the oracles in by patching the module attribute.
 
 Counts are exact under the alignment established by ``TraceMemory``
 (buffers are 32 B aligned).  For dense segments this means: when
@@ -30,9 +29,6 @@ property tests exercise both paths.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -55,42 +51,8 @@ __all__ = [
     "broadcast_walk_sectors",
     "unique_b_columns",
     "occupied_rows",
-    "count_b_loads_oracle",
-    "count_c_stores_oracle",
-    "count_tile_loads_oracle",
-    "broadcast_walk_sectors_oracle",
-    "unique_b_columns_oracle",
-    "occupied_rows_oracle",
     "warps_per_row",
-    "profile_counters_enabled",
-    "set_profile_counters",
-    "use_oracle_counters",
 ]
-
-_PROFILE_ENABLED = True
-
-
-def profile_counters_enabled() -> bool:
-    """True when counters route through the cached AccessProfile."""
-    return _PROFILE_ENABLED
-
-
-def set_profile_counters(enabled: bool) -> bool:
-    """Toggle profile-backed counting process-wide; returns prior state."""
-    global _PROFILE_ENABLED
-    prev = _PROFILE_ENABLED
-    _PROFILE_ENABLED = bool(enabled)
-    return prev
-
-
-@contextmanager
-def use_oracle_counters() -> Iterator[None]:
-    """Scope in which the public counters run the ``*_oracle`` bodies."""
-    prev = set_profile_counters(False)
-    try:
-        yield
-    finally:
-        set_profile_counters(prev)
 
 
 def warps_per_row(n: int, cf: int = 1) -> int:
@@ -105,15 +67,11 @@ def warps_per_row(n: int, cf: int = 1) -> int:
 def count_b_loads(a: CSRMatrix, n: int) -> AccessTotals:
     """Dense-matrix loads: one 32-wide segment load per nonzero per
     segment of the row span.  Exact sector count."""
-    if not _PROFILE_ENABLED:
-        return count_b_loads_oracle(a, n)
     return access_profile(a).b_loads(n)
 
 
 def count_c_stores(a: CSRMatrix, n: int) -> AccessTotals:
     """Output stores: one segment store per (row, segment)."""
-    if not _PROFILE_ENABLED:
-        return count_c_stores_oracle(a, n)
     return access_profile(a).c_stores(n)
 
 
@@ -125,10 +83,10 @@ def count_tile_loads(a: CSRMatrix, tile: int = 32) -> AccessTotals:
     Returns totals **per column-segment warp** — multiply by the number
     of warps sharing the row to get kernel totals.
     """
-    if not _PROFILE_ENABLED or tile % ELEMS_PER_SECTOR != 0:
+    if tile % ELEMS_PER_SECTOR != 0:
         # Exotic tiles (not sector multiples) break the phase-histogram
         # identity; no simulated kernel uses one, but stay exact anyway.
-        return count_tile_loads_oracle(a, tile)
+        return _expanded_tile_loads(a, tile)
     return access_profile(a).tile_loads(tile)
 
 
@@ -137,65 +95,24 @@ def broadcast_walk_sectors(a: CSRMatrix) -> int:
     element at a time (broadcast loads): the L1-filtered transaction
     count of Algorithm 1's sparse loads, per column-segment warp and per
     sparse array."""
-    if not _PROFILE_ENABLED:
-        return broadcast_walk_sectors_oracle(a)
     return access_profile(a).broadcast_sectors()
 
 
 def unique_b_columns(a: CSRMatrix) -> int:
     """Number of distinct dense-matrix rows the kernel touches (the
     compulsory footprint of ``B``)."""
-    if not _PROFILE_ENABLED:
-        return unique_b_columns_oracle(a)
     return access_profile(a).unique_b_columns
 
 
 def occupied_rows(a: CSRMatrix) -> int:
     """Number of rows holding at least one stored element (SDDMM loads
     one X row per occupied row)."""
-    if not _PROFILE_ENABLED:
-        return occupied_rows_oracle(a)
     return access_profile(a).occupied_rows
 
 
-# ----------------------------------------------------------------------
-# Parity oracles: the original array-expansion implementations
-# ----------------------------------------------------------------------
-def count_b_loads_oracle(a: CSRMatrix, n: int) -> AccessTotals:
-    """Array-expansion reference for :func:`count_b_loads`: one
-    ``segment_sectors`` pass over all nonzeros per column segment."""
-    segments = dense_segments(n)
-    instructions = a.nnz * len(segments)
-    requested = a.nnz * n * 4
-    if n % ELEMS_PER_SECTOR == 0:
-        sectors = a.nnz * sum((length + 7) // 8 for _, length in segments)
-    else:
-        base = a.colind64() * np.int64(n)
-        sectors = 0
-        for start, length in segments:
-            sectors += int(segment_sectors(base + start, np.int64(length)).sum())
-    return AccessTotals(int(instructions), int(sectors), int(requested))
-
-
-def count_c_stores_oracle(a: CSRMatrix, n: int) -> AccessTotals:
-    """Array-expansion reference for :func:`count_c_stores`."""
-    m = a.nrows
-    segments = dense_segments(n)
-    instructions = m * len(segments)
-    requested = m * n * 4
-    if n % ELEMS_PER_SECTOR == 0:
-        sectors = m * sum((length + 7) // 8 for _, length in segments)
-    else:
-        base = np.arange(m, dtype=np.int64) * n
-        sectors = 0
-        for start, length in segments:
-            sectors += int(segment_sectors(base + start, np.int64(length)).sum())
-    return AccessTotals(int(instructions), int(sectors), int(requested))
-
-
-def count_tile_loads_oracle(a: CSRMatrix, tile: int = 32) -> AccessTotals:
-    """Array-expansion reference for :func:`count_tile_loads`: one entry
-    per tile, valid for any ``tile >= 1``."""
+def _expanded_tile_loads(a: CSRMatrix, tile: int) -> AccessTotals:
+    """:func:`count_tile_loads` by array expansion — one entry per tile,
+    valid for any ``tile >= 1``."""
     lengths = a.row_lengths()
     n_tiles = (lengths + tile - 1) // tile
     total_tiles = int(n_tiles.sum())
@@ -211,22 +128,3 @@ def count_tile_loads_oracle(a: CSRMatrix, tile: int = 32) -> AccessTotals:
     sectors = int(segment_sectors(starts, lens).sum())
     requested = int(lens.sum()) * 4
     return AccessTotals(total_tiles, sectors, requested)
-
-
-def broadcast_walk_sectors_oracle(a: CSRMatrix) -> int:
-    """Array-expansion reference for :func:`broadcast_walk_sectors`."""
-    lengths = a.row_lengths()
-    starts = a.rowptr64()[:-1]
-    return int(segment_sectors(starts, lengths).sum())
-
-
-def unique_b_columns_oracle(a: CSRMatrix) -> int:
-    """Array-expansion reference for :func:`unique_b_columns`."""
-    if a.nnz == 0:
-        return 0
-    return int(np.unique(a.colind).size)
-
-
-def occupied_rows_oracle(a: CSRMatrix) -> int:
-    """Array-expansion reference for :func:`occupied_rows`."""
-    return int((a.row_lengths() > 0).sum())

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.gespmm import GESpMM
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.batchtrace import BatchTraceMemory
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel

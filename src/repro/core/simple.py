@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.batchtrace import BatchTraceMemory, fold_spmm_rows, ragged_arange
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel

@@ -15,7 +15,7 @@ in PyTorch [that] represents an aggregation step on the graph".
   contribution attained the maximum (PyTorch ``scatter_max`` semantics):
   the closure keeps only an ``(M, N)`` int32 argmax, not the full
   ``(nnz, N)`` contributions array.  The pre-engine tie-sharing scatter
-  path is preserved and used when the segment engine is disabled.
+  path is the parity oracle in ``tests/oracles/aggregate.py``.
 
 Numeric execution is vectorized NumPy; the simulated kernel cost of both
 directions is charged to the device ledger by the caller-supplied
@@ -26,15 +26,15 @@ GE-SpMM swap-ins) differ.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.gnn.tensor import Tensor
-from repro.semiring import MAX_TIMES, PLUS_TIMES
+from repro.semiring import PLUS_TIMES
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import reference_spmm_like, reference_spmm_like_multi
-from repro.sparse.segment import engine_enabled, segment_max_with_argmax
+from repro.sparse.segment import segment_max_with_argmax
 
 __all__ = ["GraphPair", "aggregate_sum", "aggregate_sum_multi", "aggregate_max"]
 
@@ -128,59 +128,6 @@ def aggregate_sum_multi(
     return tensors
 
 
-def _max_forward(adj: CSRMatrix, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Max-times forward returning (output, per-nonzero contributions).
-
-    Gathers and scales once, then reduces those same contributions —
-    the scatter path's backward closure and its forward reduction share
-    one ``(nnz, N)`` array instead of materializing it twice.  The
-    reduction replicates ``scatter_oracle_spmm_like``'s max branch
-    verbatim (finalize is the identity for max-times), so the output is
-    bit-identical to the pre-fix ``reference_spmm_like`` call.
-    """
-    contributions = adj.values[:, None] * x[adj.colind64()]
-    out = np.full((adj.nrows, x.shape[1]), MAX_TIMES.init, dtype=x.dtype)
-    if adj.nnz:
-        np.maximum.at(out, adj.coo_rows(), contributions)
-    return out, contributions
-
-
-def _scatter_aggregate_max(
-    g: GraphPair,
-    x: Tensor,
-    backward_cost: CostFn,
-    record: Callable[[str, float], None],
-    label: str,
-) -> Tensor:
-    """Pre-engine max aggregation: the backward closure retains the full
-    ``(nnz, N)`` contributions and *shares* gradient among tied maxima.
-    Kept as the scatter oracle for the argmax path."""
-    n = x.data.shape[1]
-    adj = g.adj
-    out, contributions = _max_forward(adj, x.data)
-    empty = adj.row_lengths() == 0
-    out_clean = out.copy()
-    out_clean[empty] = 0.0  # DGL convention: no neighbors -> zeros
-
-    rows = adj.coo_rows()
-    cols = adj.colind64()
-
-    def backward(grad: np.ndarray) -> None:
-        record(label, backward_cost(g.adj_t, n))
-        if not x.requires_grad:
-            return
-        # Route gradients to maximizing contributions (ties share).
-        is_max = contributions == out[rows]
-        dx = np.zeros_like(x.data)
-        scaled = grad[rows] * is_max * adj.values[:, None]
-        np.add.at(dx, cols, scaled)
-        x.accumulate_grad(dx)
-
-    return Tensor(
-        out_clean, x.requires_grad, [x], backward if x.requires_grad else None, name=label
-    )
-
-
 def aggregate_max(
     g: GraphPair,
     x: Tensor,
@@ -193,9 +140,6 @@ def aggregate_max(
     n = x.data.shape[1]
     adj = g.adj
     record(label, forward_cost(adj, n))
-    if not engine_enabled():
-        return _scatter_aggregate_max(g, x, backward_cost, record, label)
-
     # One tiled traversal: gather + scale + reduce + argmax per column
     # tile inside the pooled O(nnz·T) workspace — the full (nnz, N)
     # contributions array is never materialized, and the (M, N) int32

@@ -22,19 +22,18 @@ surface as the ``kernel.estimate_memo.hits`` / ``.misses`` counters;
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints, KernelTiming, TimingParams, estimate_time
+from repro.lru import LRUMemo
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -51,21 +50,14 @@ KernelCounts = Tuple[KernelStats, LaunchConfig, ExecHints]
 #: (cache_key(), fingerprint, n, gpu.name, semiring.name, params) -> timing.
 #: Content-addressed and process-wide: equally configured kernel instances
 #: share entries, and GC id reuse can never alias two different matrices.
-#: Insertion/recency-ordered so an optional LRU cap (corpus-scale sweeps)
-#: can evict the coldest entries; unbounded by default.
-_ESTIMATE_MEMO: "OrderedDict[tuple, KernelTiming]" = OrderedDict()
-#: estimates run inside run_sweep's thread pool, so guard the dict.
-_ESTIMATE_MEMO_LOCK = threading.Lock()
-#: None = unlimited (the historical default; existing sweeps see no
-#: change).  Corpus-scale drivers cap it so streaming thousands of
-#: matrices through one process cannot grow the memo without bound.
-_ESTIMATE_MEMO_LIMIT: Optional[int] = None
+#: Unbounded by default; corpus-scale drivers cap it so streaming
+#: thousands of matrices through one process cannot grow it without bound.
+_ESTIMATE_MEMO = LRUMemo("kernel.estimate_memo")
 
 
 def clear_estimate_memo() -> None:
     """Reset the process-wide estimate memo (tests, long-lived hosts)."""
-    with _ESTIMATE_MEMO_LOCK:
-        _ESTIMATE_MEMO.clear()
+    _ESTIMATE_MEMO.clear()
 
 
 def invalidate_estimates_for(fingerprint: str) -> int:
@@ -73,19 +65,11 @@ def invalidate_estimates_for(fingerprint: str) -> int:
 
     The targeted alternative to :func:`clear_estimate_memo` for dynamic
     graphs (``repro.sparse.delta``): when a matrix version is superseded,
-    only its entries — ``key[1]`` is the fingerprint component — are
-    reclaimed; every other matrix's estimates stay warm.  Returns the
-    number dropped (also counted as ``kernel.estimate_memo.invalidations``).
+    only its entries are reclaimed; every other matrix's estimates stay
+    warm.  Returns the number dropped (also counted as
+    ``kernel.estimate_memo.invalidations``).
     """
-    with _ESTIMATE_MEMO_LOCK:
-        stale = [k for k in _ESTIMATE_MEMO if k[1] == fingerprint]
-        for k in stale:
-            del _ESTIMATE_MEMO[k]
-    if stale:
-        obs.get_registry().counter("kernel.estimate_memo.invalidations").inc(
-            len(stale)
-        )
-    return len(stale)
+    return _ESTIMATE_MEMO.invalidate(fingerprint)
 
 
 def set_estimate_memo_limit(limit: Optional[int]) -> Optional[int]:
@@ -94,42 +78,12 @@ def set_estimate_memo_limit(limit: Optional[int]) -> Optional[int]:
     removes the cap (the default).  Returns the previous limit so callers
     can restore it.
     """
-    global _ESTIMATE_MEMO_LIMIT
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be a positive int or None, got {limit!r}")
-    with _ESTIMATE_MEMO_LOCK:
-        prev = _ESTIMATE_MEMO_LIMIT
-        _ESTIMATE_MEMO_LIMIT = limit
-        evicted = _trim_estimate_memo_locked()
-    if evicted:
-        obs.get_registry().counter("kernel.estimate_memo.evictions").inc(evicted)
-    return prev
+    return _ESTIMATE_MEMO.set_limit(limit)
 
 
 def get_estimate_memo_limit() -> Optional[int]:
     """The current estimate-memo entry cap (None = unlimited)."""
-    with _ESTIMATE_MEMO_LOCK:
-        return _ESTIMATE_MEMO_LIMIT
-
-
-def _trim_estimate_memo_locked() -> int:
-    """Evict LRU entries down to the cap; caller holds the lock."""
-    evicted = 0
-    if _ESTIMATE_MEMO_LIMIT is not None:
-        while len(_ESTIMATE_MEMO) > _ESTIMATE_MEMO_LIMIT:
-            _ESTIMATE_MEMO.popitem(last=False)
-            evicted += 1
-    return evicted
-
-
-def _memo_put(key: tuple, timing: KernelTiming) -> None:
-    """Insert into the memo, LRU-trimming past the cap."""
-    with _ESTIMATE_MEMO_LOCK:
-        _ESTIMATE_MEMO[key] = timing
-        _ESTIMATE_MEMO.move_to_end(key)
-        evicted = _trim_estimate_memo_locked()
-    if evicted:
-        obs.get_registry().counter("kernel.estimate_memo.evictions").inc(evicted)
+    return _ESTIMATE_MEMO.limit
 
 
 def _disk_cache():
@@ -196,10 +150,7 @@ class SpMMKernel(ABC):
         self.check_semiring(semiring)
         params = params or TimingParams()
         key = (self.cache_key(), a.fingerprint(), int(n), gpu.name, semiring.name, params)
-        with _ESTIMATE_MEMO_LOCK:
-            cached = _ESTIMATE_MEMO.get(key)
-            if cached is not None:
-                _ESTIMATE_MEMO.move_to_end(key)  # refresh LRU recency
+        cached = _ESTIMATE_MEMO.get(key)
         registry = obs.get_registry()
         if cached is not None:
             registry.counter(
@@ -216,7 +167,7 @@ class SpMMKernel(ABC):
         if disk is not None:
             timing = disk.get_timing(key)
             if timing is not None:
-                _memo_put(key, timing)
+                _ESTIMATE_MEMO.put(key, timing)
                 registry.counter(
                     "sim.kernel.estimates", kernel=self.name, gpu=gpu.name, cached=True
                 ).inc()
@@ -230,7 +181,7 @@ class SpMMKernel(ABC):
             if s is not None:
                 s.attrs["time_ms"] = timing.time_s * 1e3
                 s.attrs["bound_by"] = timing.bound_by
-        _memo_put(key, timing)
+        _ESTIMATE_MEMO.put(key, timing)
         if disk is not None:
             disk.put_timing(key, timing)
         return timing

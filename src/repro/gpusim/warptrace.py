@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.batchtrace import record_program
 from repro.gpusim.config import GPUSpec
 from repro.sparse.csr import CSRMatrix

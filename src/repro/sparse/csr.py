@@ -218,19 +218,17 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense ``float32[M, K]`` array (small inputs)."""
-        from repro.sparse import segment  # late: segment imports this module
-
-        if segment.engine_enabled() and self.nnz:
-            flat = self.coo_rows() * np.int64(self.ncols) + self.colind64()
-            if bool(np.all(np.diff(flat) > 0)):
-                # Canonical pattern (sorted, duplicate-free): direct
-                # placement, exact and scatter-free.
-                out = np.zeros(self.shape, dtype=VALUE_DTYPE)
-                out.ravel()[flat] = self.values
-                return out
-        # Duplicate or unsorted (row, col) entries accumulate in CSR
-        # order, matching COO semantics.
-        return segment.scatter_oracle_to_dense(self)
+        flat = self.coo_rows() * np.int64(self.ncols) + self.colind64()
+        out = np.zeros(self.shape, dtype=VALUE_DTYPE)
+        if bool(np.all(np.diff(flat) > 0)):
+            # Canonical pattern (sorted, duplicate-free): direct
+            # placement, exact and scatter-free.
+            out.ravel()[flat] = self.values
+        else:
+            # Duplicate or unsorted (row, col) entries accumulate in CSR
+            # order, matching COO semantics.
+            np.add.at(out.ravel(), flat, self.values)
+        return out
 
     def to_scipy(self):
         """Convert to :class:`scipy.sparse.csr_matrix` (oracle computations)."""
@@ -266,16 +264,12 @@ class CSRMatrix:
     # Graph-normalization helpers used by the GNN substrate
     # ------------------------------------------------------------------
     def _row_sums64(self) -> np.ndarray:
-        """``float64[M]`` per-row value sums via the segment engine (or
-        the scatter oracle when the engine is disabled)."""
+        """``float64[M]`` per-row value sums via the segment engine."""
         from repro.sparse import segment  # late: segment imports this module
 
-        reduce = (
-            segment.segment_reduce
-            if segment.engine_enabled()
-            else segment.scatter_oracle_segment_reduce
+        return segment.segment_reduce(
+            self.values.astype(np.float64), self.rowptr, np.add, 0.0
         )
-        return reduce(self.values.astype(np.float64), self.rowptr, np.add, 0.0)
 
     def row_normalized(self) -> "CSRMatrix":
         """Divide each row by its sum (mean aggregation, GraphSAGE-GCN)."""

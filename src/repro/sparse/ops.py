@@ -25,7 +25,7 @@ __all__ = [
 
 def reference_spmm(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     """Standard SpMM oracle: ``C = A @ B`` via SciPy."""
-    b = _check_dense(a, b)
+    b = segment._check_dense(a, b)
     return np.asarray(a.to_scipy() @ b, dtype=VALUE_DTYPE)
 
 
@@ -45,13 +45,13 @@ def reference_spmm_like(
     Computes ``C[i, :] = reduce_k combine(A[i,k], B[k, :])`` with the
     semiring's identity for empty rows.  Executes through the
     segmented-reduction engine (:mod:`repro.sparse.segment`) for the
-    builtin reductions; user-defined reductions — and every call while
-    the engine is disabled — take the preserved scatter-oracle path.
+    builtin reductions; user-defined reductions, which have no
+    ``reduceat``, run one ``semiring.reduce`` per non-empty row.
     """
-    b = _check_dense(a, b)
-    if segment.engine_enabled() and segment.reduce_ufunc(semiring) is not None:
+    b = segment._check_dense(a, b)
+    if segment.reduce_ufunc(semiring) is not None:
         return segment.segment_spmm_like(a, b, semiring)
-    return segment.scatter_oracle_spmm_like(a, b, semiring)
+    return _rowloop_spmm_like(a, b, semiring)
 
 
 def reference_spmm_like_multi(
@@ -61,13 +61,25 @@ def reference_spmm_like_multi(
     through one shared traversal (``segment_spmm_like_multi``) — the
     feature-width-batching primitive a serving layer coalesces
     concurrent same-graph requests onto.  Falls back to a per-operand
-    loop for user-defined reductions or a disabled engine; each output
-    is byte-identical to the corresponding single-operand call either
-    way.
+    loop for user-defined reductions; each output is byte-identical to
+    the corresponding single-operand call either way.
     """
-    if segment.engine_enabled() and segment.reduce_ufunc(semiring) is not None:
+    if segment.reduce_ufunc(semiring) is not None:
         return segment.segment_spmm_like_multi(a, bs, semiring)
-    return [segment.scatter_oracle_spmm_like(a, b, semiring) for b in bs]
+    return [reference_spmm_like(a, b, semiring) for b in bs]
+
+
+def _rowloop_spmm_like(a: CSRMatrix, b: np.ndarray, semiring: Semiring) -> np.ndarray:
+    """SpMM-like for a user-defined reduction: gather and combine once,
+    then call ``semiring.reduce`` on each non-empty row's slice."""
+    out = np.full((a.nrows, b.shape[1]), semiring.init, dtype=VALUE_DTYPE)
+    if a.nnz:
+        contributions = semiring.combine(a.values[:, None], b[a.colind64()])
+        for i in range(a.nrows):
+            lo, hi = int(a.rowptr[i]), int(a.rowptr[i + 1])
+            if hi > lo:
+                out[i] = semiring.reduce(contributions[lo:hi], axis=0)
+    return semiring.finalize(out, a.row_lengths()).astype(VALUE_DTYPE)
 
 
 def flops_of_spmm(a: CSRMatrix, n: int) -> int:
@@ -75,9 +87,3 @@ def flops_of_spmm(a: CSRMatrix, n: int) -> int:
     numerator of the paper's GFLOPS throughput metric (Section V-A3)."""
     return 2 * a.nnz * int(n)
 
-
-def _check_dense(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
-    b = np.ascontiguousarray(b, dtype=VALUE_DTYPE)
-    if b.ndim != 2 or b.shape[0] != a.ncols:
-        raise ValueError(f"dense operand shape {b.shape} incompatible with {a.shape}")
-    return b

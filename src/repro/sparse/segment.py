@@ -6,11 +6,11 @@ brings the same structure to the host executor: contributions are
 gathered once and reduced per CSR row with a single
 ``ufunc.reduceat`` call instead of the order-of-magnitude slower
 ``ufunc.at`` scatter loop.  Every numeric hot path —
-``reference_spmm_like``, ``CSRMatrix.to_dense`` /
-``row_normalized`` / ``sym_normalized``, and ``gnn.aggregate`` — routes
-through here by default; the original scatter implementations are
-preserved verbatim as ``scatter_oracle_*`` functions and enforced as
-parity oracles by ``tests/test_segment_engine.py``.
+``reference_spmm_like``, ``CSRMatrix.row_normalized`` /
+``sym_normalized``, and ``gnn.aggregate`` — runs through here.  The
+scatter implementations this engine replaced live on as parity oracles
+in the test tree (``tests/oracles/``) and are enforced by
+``tests/test_segment_engine.py`` and ``tests/test_tiled_engine.py``.
 
 The parity contract (see ``docs/PERFORMANCE.md``):
 
@@ -31,23 +31,17 @@ are not a reduction): the output is pre-filled with the semiring
 identity and only non-empty rows are overwritten, so identities are
 exact by construction.
 
-``set_engine(False)`` / ``use_segment_engine(False)`` flip every routed
-call site back to the scatter oracles — used by the parity suite and by
-``benchmarks/bench_host_executor.py`` to measure the speedup.
-
 Column tiling (the host analogue of GE-SpMM's coarse-grained warp
 merging, which reuses each loaded sparse row across feature tiles):
-``segment_spmm_like`` splits the dense operand into column tiles of
+every SpMM-like call splits the dense operand into column tiles of
 width ``T`` and gathers + combines + reduces each tile inside a
 preallocated ``(nnz, T)`` workspace drawn from a per-process pool, so
 peak transient memory is O(nnz·T) instead of O(nnz·N) and the working
-set stays cache-resident on wide operands.  ``T`` adapts from an
-LLC-size heuristic (``REPRO_LLC_BYTES``), overridable via
-:func:`set_tile_width` / ``REPRO_TILE_WIDTH``.  Tiling columns never
-reorders a row's reduction, so the tiled path is **bit-identical** to
-the untiled one for every reduction (the parity suite asserts exact
-equality); ``set_tiling(False)`` / ``use_tiling(False)`` keep the
-untiled path available as the parity oracle and microbench baseline.
+set stays cache-resident on wide operands.  ``T`` comes from a fixed
+LLC-size heuristic (:func:`tile_width_for`).  Tiling columns never
+reorders a row's reduction, so the result is **bit-identical** to one
+full-width ``reduceat`` for every reduction (the parity suite asserts
+exact equality against the untiled oracle across tile widths).
 ``segment_spmm_like_multi`` runs K same-graph operands through one
 traversal sharing the pooled workspace and cached gather indices — the
 feature-width-batching primitive the serving layer coalesces concurrent
@@ -56,15 +50,13 @@ requests onto.
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.semiring import Semiring
+from repro.semiring import MAX_TIMES, Semiring
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
 
 __all__ = [
@@ -73,124 +65,29 @@ __all__ = [
     "segment_spmm_like_multi",
     "segment_max_with_argmax",
     "segment_argmax",
-    "scatter_oracle_segment_reduce",
-    "scatter_oracle_spmm_like",
-    "scatter_oracle_to_dense",
     "reduce_ufunc",
-    "engine_enabled",
-    "set_engine",
-    "use_segment_engine",
-    "tiling_enabled",
-    "set_tiling",
-    "use_tiling",
     "tile_width_for",
-    "set_tile_width",
-    "use_tile_width",
     "clear_workspace_pool",
     "workspace_stats",
 ]
 
-_ENGINE_ENABLED = True
-
-
-def engine_enabled() -> bool:
-    """True when the segmented-reduction engine is the default executor."""
-    return _ENGINE_ENABLED
-
-
-def set_engine(enabled: bool) -> bool:
-    """Enable/disable the engine process-wide; returns the previous state."""
-    global _ENGINE_ENABLED
-    prev = _ENGINE_ENABLED
-    _ENGINE_ENABLED = bool(enabled)
-    return prev
-
-
-@contextmanager
-def use_segment_engine(enabled: bool = True) -> Iterator[None]:
-    """Scoped engine toggle (parity tests, microbenchmark baselines)."""
-    prev = set_engine(enabled)
-    try:
-        yield
-    finally:
-        set_engine(prev)
-
-
-# ----------------------------------------------------------------------
-# Column-tiling controls
-# ----------------------------------------------------------------------
-
-_TILING_ENABLED = True
-
-#: Forced tile width; None means the adaptive LLC heuristic.  Seeded
-#: from ``REPRO_TILE_WIDTH`` at import, overridable at runtime.
-_TILE_WIDTH: Optional[int] = None
-if os.environ.get("REPRO_TILE_WIDTH"):
-    _TILE_WIDTH = max(1, int(os.environ["REPRO_TILE_WIDTH"]))
-
-#: Assumed last-level-cache size for the adaptive heuristic.  The
+#: Assumed last-level-cache size for the tile-width heuristic.  The
 #: workspace budget is a quarter of it: the gather workspace shares the
 #: LLC with the dense-operand tile, the reduction output, and whatever
 #: else the process keeps warm.  Deliberately a fixed constant (not
 #: probed) so tile choices — and therefore the bit-exact telemetry —
-#: are reproducible across hosts; override via ``REPRO_LLC_BYTES``.
-_LLC_BYTES = int(os.environ.get("REPRO_LLC_BYTES", 32 * 1024 * 1024))
+#: are reproducible across hosts.
+_LLC_BYTES = 32 * 1024 * 1024
 _WORKSPACE_BUDGET = _LLC_BYTES // 4
-
-
-def tiling_enabled() -> bool:
-    """True when ``segment_spmm_like`` runs the column-tiled executor."""
-    return _TILING_ENABLED
-
-
-def set_tiling(enabled: bool) -> bool:
-    """Enable/disable column tiling process-wide; returns the previous
-    state.  The untiled path is the tiled executor's parity oracle."""
-    global _TILING_ENABLED
-    prev = _TILING_ENABLED
-    _TILING_ENABLED = bool(enabled)
-    return prev
-
-
-@contextmanager
-def use_tiling(enabled: bool = True) -> Iterator[None]:
-    """Scoped tiling toggle (parity tests, microbench baselines)."""
-    prev = set_tiling(enabled)
-    try:
-        yield
-    finally:
-        set_tiling(prev)
-
-
-def set_tile_width(width: Optional[int]) -> Optional[int]:
-    """Force the tile width (None restores the adaptive heuristic);
-    returns the previous setting."""
-    global _TILE_WIDTH
-    prev = _TILE_WIDTH
-    _TILE_WIDTH = None if width is None else max(1, int(width))
-    return prev
-
-
-@contextmanager
-def use_tile_width(width: Optional[int]) -> Iterator[None]:
-    """Scoped :func:`set_tile_width`."""
-    prev = set_tile_width(width)
-    try:
-        yield
-    finally:
-        set_tile_width(prev)
 
 
 def tile_width_for(nnz: int, n: int) -> int:
     """Tile width for an ``(nnz, n)`` contributions matrix.
 
-    Forced width (:func:`set_tile_width` / ``REPRO_TILE_WIDTH``) wins;
-    otherwise the width is the largest multiple of 8 (keeping the
-    argmax uint64 row-prefilter applicable) whose ``(nnz, T)`` float32
-    workspace fits the LLC budget, floored at 8 and capped at ``n``.
+    The largest multiple of 8 (keeping the argmax uint64 row-prefilter
+    applicable) whose ``(nnz, T)`` float32 workspace fits the LLC
+    budget, floored at 8 and capped at ``n``.
     """
-    if _TILE_WIDTH is not None:
-        return max(1, min(_TILE_WIDTH, n)) if n else _TILE_WIDTH
     if nnz <= 0 or n <= 0:
         return max(n, 1)
     t = _WORKSPACE_BUDGET // (4 * nnz)
@@ -284,9 +181,9 @@ def workspace_stats() -> dict:
     return _POOL.stats()
 
 
-#: semiring ``reduce`` callable -> the ufunc whose ``reduceat``/``at``
+#: semiring ``reduce`` callable -> the ufunc whose ``reduceat``
 #: implements it.  Semirings outside this map (user-defined reductions)
-#: fall back to the scatter oracle's generic per-row loop.
+#: run ``reference_spmm_like``'s per-row loop instead.
 _REDUCE_UFUNCS = {
     np.add.reduce: np.add,
     np.maximum.reduce: np.maximum,
@@ -330,32 +227,6 @@ def segment_reduce(
     return out
 
 
-def scatter_oracle_segment_reduce(
-    contributions: np.ndarray,
-    rowptr: np.ndarray,
-    ufunc: np.ufunc,
-    init: float,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The pre-engine ``ufunc.at`` scatter path, preserved as the parity
-    oracle for :func:`segment_reduce`."""
-    rowptr = np.asarray(rowptr, dtype=np.int64)
-    contributions = np.asarray(contributions)
-    m = rowptr.shape[0] - 1
-    lengths = rowptr[1:] - rowptr[:-1]
-    if out is None:
-        out = np.full((m,) + contributions.shape[1:], init, dtype=contributions.dtype)
-    if m == 0 or contributions.shape[0] == 0:
-        return out
-    rows = np.repeat(np.arange(m, dtype=np.int64), lengths)
-    ufunc.at(out, rows, contributions)
-    if ufunc is np.add and init != 0.0:
-        # add.at accumulated on top of init for occupied rows; restore the
-        # identity only where nothing was accumulated.
-        out[lengths == 0] = init
-    return out
-
-
 def _check_dense(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     b = np.ascontiguousarray(b, dtype=VALUE_DTYPE)
     if b.ndim != 2 or b.shape[0] != a.ncols:
@@ -368,7 +239,7 @@ def _require_ufunc(semiring: Semiring) -> np.ufunc:
     if ufunc is None:
         raise NotImplementedError(
             f"semiring {semiring.name!r} has no reduceat-capable reduction; "
-            "use scatter_oracle_spmm_like"
+            "use reference_spmm_like"
         )
     return ufunc
 
@@ -396,64 +267,72 @@ def _nonempty_starts(a: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
     return nonempty, starts[nonempty]
 
 
-def _tiled_spmm_into(
-    a: CSRMatrix,
-    b: np.ndarray,
-    semiring: Semiring,
-    ufunc: np.ufunc,
-    out: np.ndarray,
-    tile: int,
-    ws: np.ndarray,
-    bt: Optional[np.ndarray],
-    nonempty: np.ndarray,
-    ne_starts: np.ndarray,
-) -> None:
-    """One tiled gather + combine + reduceat traversal into ``out``.
+def _gathered_tiles(
+    a: CSRMatrix, bs: Sequence[np.ndarray], semiring: Semiring, ufunc: np.ufunc
+) -> Iterator[Tuple[int, slice, np.ndarray]]:
+    """The one tile loop: yield ``(k, cols, contributions)`` for every
+    column tile ``cols`` of every operand ``bs[k]``.
 
-    ``ws`` is the pooled ``(nnz, tile)`` workspace (flat), ``bt`` the
-    pooled operand-tile buffer (flat; None when a single tile covers the
-    whole operand, in which case the gather reads ``b`` directly).  Each
-    tile's reduction touches only its own columns, so the result is
-    bit-identical to the untiled path.
+    The pooled ``(nnz, T)`` workspace (and, when an operand is wider
+    than one tile, the ``(K, T)`` operand-tile buffer) is acquired once
+    for all operands and released when the loop ends.  Each yielded
+    ``contributions`` is a view of the workspace holding
+    ``combine(A.values, B[colind, cols])`` in CSR order; it is
+    overwritten by the next tile, so callers reduce it before resuming.
+    Nothing is yielded when the matrix has no nonzeros or every operand
+    is zero-width.
     """
-    nnz = a.nnz
-    n = b.shape[1]
+    n_max = max((b.shape[1] for b in bs), default=0)
+    if not (a.nnz and n_max):
+        return
+    tile_max = tile_width_for(a.nnz, n_max)
     idx = a.colind64()
     vals = a.values[:, None]
     reg = obs.get_registry()
-    reg.counter("segment.reduce_calls", op=ufunc.__name__).inc()
-    if not ne_starts.size:
-        return
-    for lo in range(0, n, tile):
-        w = min(tile, n - lo)
-        if bt is None:
-            src = b  # single tile spanning the full width: gather in place
-        else:
-            src = bt[: a.ncols * w].reshape(a.ncols, w)
-            np.copyto(src, b[:, lo : lo + w])
-        wsv = ws[: nnz * w].reshape(nnz, w)
-        # mode="clip" keeps np.take unbuffered (indices are validated at
-        # construction, so clipping never actually fires).
-        np.take(src, idx, axis=0, out=wsv, mode="clip")
-        semiring.combine_into(vals, wsv, wsv)
-        out[nonempty, lo : lo + w] = ufunc.reduceat(wsv, ne_starts, axis=0)
-        reg.counter("segment.tiles", op=ufunc.__name__).inc()
+    ws = _POOL.acquire(a.nnz * tile_max)
+    bt = _POOL.acquire(a.ncols * tile_max) if tile_max < n_max else None
+    try:
+        for k, b in enumerate(bs):
+            n = b.shape[1]
+            if not n:
+                continue
+            reg.counter("segment.reduce_calls", op=ufunc.__name__).inc()
+            tile = min(tile_max, n)
+            for lo in range(0, n, tile):
+                w = min(tile, n - lo)
+                if tile < n:
+                    src = bt[: a.ncols * w].reshape(a.ncols, w)
+                    np.copyto(src, b[:, lo : lo + w])
+                else:
+                    src = b  # one tile spans the full width: gather in place
+                wsv = ws[: a.nnz * w].reshape(a.nnz, w)
+                # mode="clip" keeps np.take unbuffered (indices are
+                # validated at construction, so clipping never fires).
+                np.take(src, idx, axis=0, out=wsv, mode="clip")
+                semiring.combine_into(vals, wsv, wsv)
+                yield k, slice(lo, lo + w), wsv
+                reg.counter("segment.tiles", op=ufunc.__name__).inc()
+    finally:
+        if bt is not None:
+            _POOL.release(bt)
+        _POOL.release(ws)
 
 
-def _untiled_spmm_like(
+def _spmm_like_into(
     a: CSRMatrix,
-    b: np.ndarray,
+    bs: Sequence[np.ndarray],
     semiring: Semiring,
     ufunc: np.ufunc,
-    out: np.ndarray,
-) -> np.ndarray:
-    """The pre-tiling engine body: one O(nnz·N) contributions temporary,
-    one full-width ``reduceat``.  Kept as the tiled executor's parity
-    oracle and reachable via ``set_tiling(False)``."""
-    if a.nnz:
-        contributions = semiring.combine(a.values[:, None], b[a.colind64()])
-        segment_reduce(contributions, a.rowptr, ufunc, semiring.init, out=out)
-    return semiring.finalize_into(out, a.row_lengths())
+    outs: List[np.ndarray],
+) -> List[np.ndarray]:
+    """Reduce every tile of every operand into its pre-filled output,
+    then apply the semiring's finalize."""
+    nonempty, ne_starts = _nonempty_starts(a)
+    for k, cols, contributions in _gathered_tiles(a, bs, semiring, ufunc):
+        outs[k][nonempty, cols] = ufunc.reduceat(contributions, ne_starts, axis=0)
+    for out in outs:
+        semiring.finalize_into(out, a.row_lengths())
+    return outs
 
 
 def segment_spmm_like(
@@ -461,41 +340,22 @@ def segment_spmm_like(
     b: np.ndarray,
     semiring: Semiring,
     out: Optional[np.ndarray] = None,
-    tile_width: Optional[int] = None,
 ) -> np.ndarray:
     """SpMM-like execution as gather + segmented reduce.
 
-    Runs the column-tiled, workspace-pooled executor by default (peak
-    transient memory O(nnz·T), bit-identical to the untiled path); pass
-    ``tile_width`` to override the adaptive width for this call, or
-    disable tiling process-wide with :func:`set_tiling`.  ``out`` (a
-    float32 ``(M, N)`` buffer) lets callers reuse output storage across
-    calls — the serving layer's steady state.
+    Runs the column-tiled, workspace-pooled executor: peak transient
+    memory O(nnz·T), bit-identical to one full-width reduction.
+    ``out`` (a float32 ``(M, N)`` buffer) lets callers reuse output
+    storage across calls — the serving layer's steady state.
 
     Requires a semiring whose ``reduce`` maps to a ufunc
-    (:func:`reduce_ufunc`); callers with user-defined reductions use
-    :func:`scatter_oracle_spmm_like`.
+    (:func:`reduce_ufunc`); ``reference_spmm_like`` also serves
+    user-defined reductions.
     """
     ufunc = _require_ufunc(semiring)
     b = _check_dense(a, b)
-    n = b.shape[1]
-    out = _prepare_out(a, n, semiring.init, out)
-    if not _TILING_ENABLED:
-        return _untiled_spmm_like(a, b, semiring, ufunc, out)
-    if a.nnz and n:
-        tile = tile_width_for(a.nnz, n) if tile_width is None else max(1, min(int(tile_width), n))
-        nonempty, ne_starts = _nonempty_starts(a)
-        ws = _POOL.acquire(a.nnz * tile)
-        bt = _POOL.acquire(a.ncols * tile) if tile < n else None
-        try:
-            _tiled_spmm_into(
-                a, b, semiring, ufunc, out, tile, ws, bt, nonempty, ne_starts
-            )
-        finally:
-            if bt is not None:
-                _POOL.release(bt)
-            _POOL.release(ws)
-    return semiring.finalize_into(out, a.row_lengths())
+    out = _prepare_out(a, b.shape[1], semiring.init, out)
+    return _spmm_like_into(a, [b], semiring, ufunc, [out])[0]
 
 
 def segment_spmm_like_multi(
@@ -503,7 +363,6 @@ def segment_spmm_like_multi(
     bs: Sequence[np.ndarray],
     semiring: Semiring,
     outs: Optional[Sequence[Optional[np.ndarray]]] = None,
-    tile_width: Optional[int] = None,
 ) -> List[np.ndarray]:
     """K same-graph SpMM-like executions through one shared traversal.
 
@@ -527,84 +386,7 @@ def segment_spmm_like_multi(
     if not bs:
         return results
     obs.get_registry().counter("segment.multi_calls", operands=len(bs)).inc()
-    if not _TILING_ENABLED:
-        for b, out in zip(bs, results):
-            _untiled_spmm_like(a, b, semiring, ufunc, out)
-        return results
-    n_max = max(b.shape[1] for b in bs)
-    if a.nnz and n_max:
-        tile_max = (
-            tile_width_for(a.nnz, n_max)
-            if tile_width is None
-            else max(1, min(int(tile_width), n_max))
-        )
-        nonempty, ne_starts = _nonempty_starts(a)
-        ws = _POOL.acquire(a.nnz * tile_max)
-        bt = _POOL.acquire(a.ncols * tile_max) if tile_max < n_max else None
-        try:
-            for b, out in zip(bs, results):
-                n = b.shape[1]
-                if not n:
-                    continue
-                tile = min(tile_max, n)
-                # A full-width tile gathers straight from the operand.
-                op_bt = bt if tile < n else None
-                _tiled_spmm_into(
-                    a, b, semiring, ufunc, out, tile, ws, op_bt, nonempty, ne_starts
-                )
-        finally:
-            if bt is not None:
-                _POOL.release(bt)
-            _POOL.release(ws)
-    for out in results:
-        semiring.finalize_into(out, a.row_lengths())
-    return results
-
-
-def scatter_oracle_spmm_like(
-    a: CSRMatrix, b: np.ndarray, semiring: Semiring
-) -> np.ndarray:
-    """The pre-engine ``reference_spmm_like`` body (``ufunc.at`` scatter
-    with a generic per-row loop for unknown semirings), preserved as the
-    parity oracle and the fallback for user-defined reductions."""
-    b = _check_dense(a, b)
-    m = a.nrows
-    n = b.shape[1]
-    out = np.full((m, n), semiring.init, dtype=VALUE_DTYPE)
-    if a.nnz == 0:
-        return semiring.finalize(out, a.row_lengths()).astype(VALUE_DTYPE)
-
-    contributions = semiring.combine(
-        a.values[:, None].astype(VALUE_DTYPE), b[a.colind.astype(np.int64)]
-    )
-    rows = np.repeat(np.arange(m, dtype=np.int64), a.row_lengths())
-    if semiring.reduce is np.add.reduce:
-        np.add.at(out, rows, contributions)
-        # Rows with no nonzeros keep init; for plus-like semirings that is
-        # already the additive identity folded into the accumulate above
-        # only for occupied rows, so reset empty rows explicitly.
-        empty = a.row_lengths() == 0
-        out[empty] = semiring.init
-    elif semiring.reduce is np.maximum.reduce:
-        np.maximum.at(out, rows, contributions)
-    elif semiring.reduce is np.minimum.reduce:
-        np.minimum.at(out, rows, contributions)
-    else:  # generic fallback for user semirings
-        for i in range(m):
-            lo, hi = int(a.rowptr[i]), int(a.rowptr[i + 1])
-            if hi > lo:
-                out[i] = semiring.reduce(contributions[lo:hi], axis=0)
-    return semiring.finalize(out, a.row_lengths()).astype(VALUE_DTYPE)
-
-
-def scatter_oracle_to_dense(a: CSRMatrix) -> np.ndarray:
-    """The pre-engine ``CSRMatrix.to_dense`` scatter, preserved as the
-    parity oracle and the fallback for duplicate/unsorted patterns."""
-    out = np.zeros(a.shape, dtype=VALUE_DTYPE)
-    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_lengths())
-    # Duplicate (row, col) entries accumulate, matching COO semantics.
-    np.add.at(out, (rows, a.colind.astype(np.int64)), a.values)
-    return out
+    return _spmm_like_into(a, bs, semiring, ufunc, results)
 
 
 def segment_argmax(
@@ -703,38 +485,9 @@ def segment_max_with_argmax(
     m, n = a.nrows, b.shape[1]
     out = np.full((m, n), -np.inf, dtype=VALUE_DTYPE)
     argmax = np.full((m, n), -1, dtype=np.int32)
-    if not (a.nnz and n):
-        return out, argmax
-    if not _TILING_ENABLED:
-        contributions = a.values[:, None] * b[a.colind64()]
-        segment_reduce(contributions, a.rowptr, np.maximum, -np.inf, out=out)
-        return out, segment_argmax(a, contributions, row_max=out)
-    tile = tile_width_for(a.nnz, n)
     nonempty, ne_starts = _nonempty_starts(a)
-    idx = a.colind64()
-    vals = a.values[:, None]
-    reg = obs.get_registry()
-    reg.counter("segment.reduce_calls", op="maximum").inc()
-    ws = _POOL.acquire(a.nnz * tile)
-    bt = _POOL.acquire(a.ncols * tile) if tile < n else None
-    try:
-        for lo in range(0, n, tile):
-            w = min(tile, n - lo)
-            if bt is None:
-                src = b
-            else:
-                src = bt[: a.ncols * w].reshape(a.ncols, w)
-                np.copyto(src, b[:, lo : lo + w])
-            wsv = ws[: a.nnz * w].reshape(a.nnz, w)
-            np.take(src, idx, axis=0, out=wsv, mode="clip")
-            np.multiply(vals, wsv, out=wsv)
-            out_slice = out[:, lo : lo + w]
-            if ne_starts.size:
-                out_slice[nonempty] = np.maximum.reduceat(wsv, ne_starts, axis=0)
-            argmax[:, lo : lo + w] = segment_argmax(a, wsv, row_max=out_slice)
-            reg.counter("segment.tiles", op="maximum").inc()
-    finally:
-        if bt is not None:
-            _POOL.release(bt)
-        _POOL.release(ws)
+    for _, cols, contributions in _gathered_tiles(a, [b], MAX_TIMES, np.maximum):
+        out_tile = out[:, cols]
+        out_tile[nonempty] = np.maximum.reduceat(contributions, ne_starts, axis=0)
+        argmax[:, cols] = segment_argmax(a, contributions, row_max=out_tile)
     return out, argmax

@@ -2,7 +2,7 @@
 
 The contract (docs/PERFORMANCE.md): every profile-backed counter in
 ``repro.core._counting`` is bit-identical — exact integer equality — to
-the retained ``*_oracle`` array-expansion implementation, on every
+its array-expansion oracle in ``tests/oracles/counting.py``, on every
 matrix and every width, aligned or not.
 """
 
@@ -18,6 +18,9 @@ from repro.core.access_profile import (
     clear_access_profile,
 )
 from repro.sparse import csr_from_coo, csr_from_dense, power_law, uniform_random
+from tests.oracles import counting as oracle
+from tests.oracles import use_oracle_counters
+from tests.strategies import csr_matrices, degenerate_csr
 
 # Widths straddling sector (8) and segment (32) boundaries, plus n=1.
 WIDTHS = [1, 7, 8, 9, 16, 31, 32, 33, 64, 100]
@@ -40,13 +43,13 @@ def random_csr(draw, max_m=40, max_k=40, max_nnz=200):
 def assert_profile_matches_oracle(a, widths=WIDTHS, tiles=TILES):
     clear_access_profile(a)
     for n in widths:
-        assert cnt.count_b_loads(a, n) == cnt.count_b_loads_oracle(a, n), n
-        assert cnt.count_c_stores(a, n) == cnt.count_c_stores_oracle(a, n), n
+        assert cnt.count_b_loads(a, n) == oracle.count_b_loads(a, n), n
+        assert cnt.count_c_stores(a, n) == oracle.count_c_stores(a, n), n
     for tile in tiles:
-        assert cnt.count_tile_loads(a, tile) == cnt.count_tile_loads_oracle(a, tile)
-    assert cnt.broadcast_walk_sectors(a) == cnt.broadcast_walk_sectors_oracle(a)
-    assert cnt.unique_b_columns(a) == cnt.unique_b_columns_oracle(a)
-    assert cnt.occupied_rows(a) == cnt.occupied_rows_oracle(a)
+        assert cnt.count_tile_loads(a, tile) == oracle.count_tile_loads(a, tile)
+    assert cnt.broadcast_walk_sectors(a) == oracle.broadcast_walk_sectors(a)
+    assert cnt.unique_b_columns(a) == oracle.unique_b_columns(a)
+    assert cnt.occupied_rows(a) == oracle.occupied_rows(a)
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +105,7 @@ def test_edge_cases_both_paths(make, n):
     for forced_oracle in (False, True):
         clear_access_profile(a)
         if forced_oracle:
-            with cnt.use_oracle_counters():
+            with use_oracle_counters():
                 b = cnt.count_b_loads(a, n)
                 c = cnt.count_c_stores(a, n)
                 t = cnt.count_tile_loads(a, 32)
@@ -112,13 +115,13 @@ def test_edge_cases_both_paths(make, n):
             c = cnt.count_c_stores(a, n)
             t = cnt.count_tile_loads(a, 32)
             w = cnt.broadcast_walk_sectors(a)
-        assert b == cnt.count_b_loads_oracle(a, n)
-        assert c == cnt.count_c_stores_oracle(a, n)
-        assert t == cnt.count_tile_loads_oracle(a, 32)
-        assert w == cnt.broadcast_walk_sectors_oracle(a)
+        assert b == oracle.count_b_loads(a, n)
+        assert c == oracle.count_c_stores(a, n)
+        assert t == oracle.count_tile_loads(a, 32)
+        assert w == oracle.broadcast_walk_sectors(a)
         if a.nnz == 0:
             assert b.sectors == 0 and b.instructions == 0
-            assert t == cnt.count_tile_loads_oracle(a, 32)
+            assert t == oracle.count_tile_loads(a, 32)
             assert w == 0
         # C stores cover all rows regardless of occupancy.
         assert c.instructions == a.nrows * len(cnt.dense_segments(n))
@@ -145,7 +148,7 @@ def test_known_value_aligned():
 
 
 # ----------------------------------------------------------------------
-# Caching, counters, toggles
+# Caching, counters, exotic tiles
 # ----------------------------------------------------------------------
 
 
@@ -172,33 +175,33 @@ def test_per_width_memoization():
     assert p.tile_loads(32) is p.tile_loads(32)
 
 
-def test_oracle_toggle_restores():
-    assert cnt.profile_counters_enabled()
-    with cnt.use_oracle_counters():
-        assert not cnt.profile_counters_enabled()
-        with cnt.use_oracle_counters():
-            assert not cnt.profile_counters_enabled()
-        assert not cnt.profile_counters_enabled()
-    assert cnt.profile_counters_enabled()
-
-
-def test_oracle_toggle_skips_profile_build():
-    a = uniform_random(15, 30, 15, seed=3)
-    clear_access_profile(a)
-    with cnt.use_oracle_counters():
-        cnt.count_b_loads(a, 9)
-        cnt.broadcast_walk_sectors(a)
-    assert a._derived.get("access_profile") is None
-
-
 def test_exotic_tile_falls_back_to_oracle():
     a = uniform_random(20, 80, 20, seed=4)
     # tile not a multiple of 8: profile method refuses, public API stays exact
     p = access_profile(a)
     with pytest.raises(ValueError):
         p.tile_loads(12)
-    assert cnt.count_tile_loads(a, 12) == cnt.count_tile_loads_oracle(a, 12)
-    assert cnt.count_tile_loads(a, 1) == cnt.count_tile_loads_oracle(a, 1)
+    assert cnt.count_tile_loads(a, 12) == oracle.count_tile_loads(a, 12)
+    assert cnt.count_tile_loads(a, 1) == oracle.count_tile_loads(a, 1)
+
+
+EXOTIC_TILES = [1, 3, 12, 33]
+
+
+@pytest.mark.parametrize("tile", EXOTIC_TILES)
+@given(a=csr_matrices())
+@settings(max_examples=25, deadline=None)
+def test_exotic_tile_expansion_matches_oracle(tile, a):
+    """Tiles that are not sector multiples keep the array-expansion
+    counter in production; it must stay exact against the oracle."""
+    assert cnt.count_tile_loads(a, tile) == oracle.count_tile_loads(a, tile)
+
+
+@pytest.mark.parametrize("tile", EXOTIC_TILES)
+@pytest.mark.parametrize("shape", sorted(degenerate_csr()))
+def test_exotic_tile_expansion_degenerate_shapes(tile, shape):
+    a = degenerate_csr()[shape]
+    assert cnt.count_tile_loads(a, tile) == oracle.count_tile_loads(a, tile)
 
 
 def test_kernel_counts_unchanged_by_profile_path():
@@ -211,7 +214,7 @@ def test_kernel_counts_unchanged_by_profile_path():
         for n in (32, 250, 7):
             clear_access_profile(a)
             stats_p, launch_p, hints_p = kern.count(a, n, GTX_1080TI)
-            with cnt.use_oracle_counters():
+            with use_oracle_counters():
                 stats_o, launch_o, hints_o = kern.count(a, n, GTX_1080TI)
             assert stats_p == stats_o, (kern.name, n)
             assert launch_p == launch_o

@@ -1,5 +1,8 @@
 """API-surface tests: exports, device presets, and cross-module wiring."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,26 @@ class TestPackageExports:
         c = kernel.run(a, b)
         t = kernel.estimate(a, 128, GTX_1080TI)
         assert c.shape == (512, 128) and t.time_s > 0
+
+
+    def test_src_never_imports_the_test_tree(self):
+        # The parity oracles live in tests/oracles/; production code must
+        # stand without the test tree.
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names
+                    if name == "tests" or name.startswith("tests.")
+                ]
+        assert not offenders, offenders
 
 
 class TestDevicePresets:

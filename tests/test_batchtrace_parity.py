@@ -24,7 +24,7 @@ from repro.core import (
     SimpleSpMM,
     bias_relu_epilogue,
 )
-from repro.core.semiring import MAX_TIMES, MEAN_TIMES, MIN_TIMES, PLUS_TIMES
+from repro.semiring import MAX_TIMES, MEAN_TIMES, MIN_TIMES, PLUS_TIMES
 from repro.gpusim import GTX_1080TI, RTX_2080
 from repro.sparse import power_law, uniform_random
 

@@ -1,16 +1,20 @@
 """Parity suite for the segmented-reduction host engine.
 
 Locks the contract in ``repro.sparse.segment``'s docstring: the engine
-must be bit-identical to the preserved scatter oracles for max/min
-reductions on any input and for plus/mean on exact (integer-valued)
-arithmetic, and within tight tolerances on arbitrary floats (where
-``np.add.reduceat``'s pairing reassociates the sum).  Also covers the
-derived-array caches on ``CSRMatrix``, the engine-routed
-``to_dense``/normalizers, and the argmax semantics (first maximizer,
-empty rows, NaN) that ``aggregate_max``'s backward depends on.
+must be bit-identical to the scatter oracles (``tests/oracles/``) for
+max/min reductions on any input and for plus/mean on exact
+(integer-valued) arithmetic, and within tight tolerances on arbitrary
+floats (where ``np.add.reduceat``'s pairing reassociates the sum).  Also
+covers the derived-array caches on ``CSRMatrix``, ``to_dense`` and the
+normalizers, the two fallbacks that stay in production (the per-row
+loop for user-defined reductions, the accumulating ``to_dense``), and
+the argmax semantics (first maximizer, empty rows, NaN) that
+``aggregate_max``'s backward depends on.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,57 +22,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.semiring import MAX_TIMES, MEAN_TIMES, MIN_TIMES, PLUS_TIMES, Semiring
+from repro.semiring import MAX_TIMES, PLUS_TIMES, Semiring
 from repro.sparse import (
+    CSRMatrix,
     csr_from_coo,
-    engine_enabled,
     power_law,
-    scatter_oracle_segment_reduce,
-    scatter_oracle_spmm_like,
-    scatter_oracle_to_dense,
     segment_argmax,
     segment_reduce,
     segment_spmm_like,
-    set_engine,
     uniform_random,
-    use_segment_engine,
 )
 from repro.sparse.ops import reference_spmm_like
+from repro.sparse.segment import reduce_ufunc
+from tests.oracles import aggregate as aggregate_oracles
+from tests.oracles import use_scatter_oracles
+from tests.oracles.segment import loop_to_dense, scatter_segment_reduce, scatter_spmm_like
+from tests.strategies import SEMIRINGS, csr_matrices, degenerate_csr, dense_operand
 
-SEMIRINGS = {
-    "plus": PLUS_TIMES,
-    "max": MAX_TIMES,
-    "min": MIN_TIMES,
-    "mean": MEAN_TIMES,
-}
 BITWISE_ALWAYS = {"max", "min"}
-
-
-@st.composite
-def csr_matrices(draw, max_m=30, max_k=25, max_nnz=150, integer_values=False):
-    """Random CSR with deliberate empty rows; optionally integer-valued
-    float32 entries so plus/mean accumulation is exact."""
-    m = draw(st.integers(1, max_m))
-    k = draw(st.integers(1, max_k))
-    nnz = draw(st.integers(0, min(max_nnz, m * k)))
-    seed = draw(st.integers(0, 2**20))
-    rng = np.random.default_rng(seed)
-    # Concentrate nonzeros on a subset of rows so some rows are empty.
-    active = max(1, m // 2)
-    rows = rng.integers(0, active, size=nnz)
-    cols = rng.integers(0, k, size=nnz)
-    if integer_values:
-        vals = rng.integers(-4, 5, size=nnz).astype(np.float32)
-    else:
-        vals = rng.standard_normal(nnz).astype(np.float32)
-    return csr_from_coo(rows, cols, vals, shape=(m, k), sum_duplicates=True)
-
-
-def _dense_operand(a, n, seed, integer_values=False):
-    rng = np.random.default_rng(seed)
-    if integer_values:
-        return rng.integers(-4, 5, size=(a.ncols, n)).astype(np.float32)
-    return rng.standard_normal((a.ncols, n)).astype(np.float32)
 
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
@@ -77,9 +48,9 @@ def _dense_operand(a, n, seed, integer_values=False):
 @settings(max_examples=25, deadline=None)
 def test_segment_vs_scatter_parity(name, n, a, seed):
     sr = SEMIRINGS[name]
-    b = _dense_operand(a, n, seed)
+    b = dense_operand(a, n, seed)
     got = segment_spmm_like(a, b, sr)
-    want = scatter_oracle_spmm_like(a, b, sr)
+    want = scatter_spmm_like(a, b, sr)
     if name in BITWISE_ALWAYS:
         np.testing.assert_array_equal(got, want)
     else:
@@ -94,9 +65,9 @@ def test_plus_like_bitwise_on_exact_arithmetic(name, a, seed):
     """With integer-valued operands the accumulation is exact, so the
     reduceat reassociation cannot surface: bit parity is required."""
     sr = SEMIRINGS[name]
-    b = _dense_operand(a, 5, seed, integer_values=True)
+    b = dense_operand(a, 5, seed, integer_values=True)
     np.testing.assert_array_equal(
-        segment_spmm_like(a, b, sr), scatter_oracle_spmm_like(a, b, sr)
+        segment_spmm_like(a, b, sr), scatter_spmm_like(a, b, sr)
     )
 
 
@@ -104,9 +75,9 @@ def test_plus_like_bitwise_on_exact_arithmetic(name, a, seed):
 def test_parity_on_power_law(name):
     sr = SEMIRINGS[name]
     a = power_law(300, 4000, seed=7, weighted=True)
-    b = _dense_operand(a, 16, seed=3)
+    b = dense_operand(a, 16, seed=3)
     got = segment_spmm_like(a, b, sr)
-    want = scatter_oracle_spmm_like(a, b, sr)
+    want = scatter_spmm_like(a, b, sr)
     if name in BITWISE_ALWAYS:
         np.testing.assert_array_equal(got, want)
     else:
@@ -115,10 +86,9 @@ def test_parity_on_power_law(name):
 
 def test_reference_spmm_like_dispatches_on_toggle():
     a = uniform_random(50, 400, seed=1, weighted=True)
-    b = _dense_operand(a, 8, seed=2)
-    with use_segment_engine(True):
-        engine = reference_spmm_like(a, b, MAX_TIMES)
-    with use_segment_engine(False):
+    b = dense_operand(a, 8, seed=2)
+    engine = reference_spmm_like(a, b, MAX_TIMES)
+    with use_scatter_oracles():
         oracle = reference_spmm_like(a, b, MAX_TIMES)
     np.testing.assert_array_equal(engine, oracle)
     np.testing.assert_array_equal(engine, segment_spmm_like(a, b, MAX_TIMES))
@@ -136,24 +106,47 @@ def test_generic_semiring_falls_back_to_scatter_loop():
         init=-np.inf,
     )
     a = uniform_random(20, 100, seed=3, weighted=True)
-    b = _dense_operand(a, 4, seed=4)
-    with use_segment_engine(True):
-        got = reference_spmm_like(a, b, odd)
+    b = dense_operand(a, 4, seed=4)
+    got = reference_spmm_like(a, b, odd)
     assert got.shape == (a.nrows, 4)
     with pytest.raises(NotImplementedError):
         segment_spmm_like(a, b, odd)
 
 
-def test_engine_toggle_restores_on_exception():
-    assert engine_enabled()
-    with pytest.raises(RuntimeError):
-        with use_segment_engine(False):
-            assert not engine_enabled()
-            raise RuntimeError("boom")
-    assert engine_enabled()
-    prev = set_engine(False)
-    assert prev is True
-    assert set_engine(True) is False
+def _as_user_semiring(sr):
+    """``sr`` with its reduce hidden behind a lambda: no ufunc matches
+    it, so ``reference_spmm_like`` takes the per-row loop."""
+    return dataclasses.replace(
+        sr, name=f"user_{sr.name}", reduce=lambda x, axis=0: sr.reduce(x, axis=axis)
+    )
+
+
+def _assert_rowloop_matches_scatter(a, n, seed, name):
+    sr = SEMIRINGS[name]
+    user = _as_user_semiring(sr)
+    assert reduce_ufunc(user) is None
+    b = dense_operand(a, n, seed, integer_values=True)
+    np.testing.assert_array_equal(
+        reference_spmm_like(a, b, user), scatter_spmm_like(a, b, sr)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9])
+@given(a=csr_matrices(integer_values=True), seed=st.integers(0, 2**20))
+@settings(max_examples=10, deadline=None)
+def test_rowloop_fallback_matches_scatter_oracle(name, n, a, seed):
+    """The per-row loop for user-defined reductions against the scatter
+    oracle's ufunc branch for the same reduction; integer-valued
+    operands keep plus/mean exact, so parity is bitwise."""
+    _assert_rowloop_matches_scatter(a, n, seed, name)
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9])
+@pytest.mark.parametrize("shape", sorted(degenerate_csr()))
+def test_rowloop_fallback_degenerate_shapes(name, n, shape):
+    _assert_rowloop_matches_scatter(degenerate_csr()[shape], n, 0, name)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +159,7 @@ def test_segment_reduce_empty_rows_hold_exact_identity():
     contributions = np.arange(10, dtype=np.float32).reshape(5, 2)
     for ufunc, init in ((np.add, 0.0), (np.maximum, -np.inf), (np.minimum, np.inf)):
         out = segment_reduce(contributions, rowptr, ufunc, init)
-        oracle = scatter_oracle_segment_reduce(contributions, rowptr, ufunc, init)
+        oracle = scatter_segment_reduce(contributions, rowptr, ufunc, init)
         np.testing.assert_array_equal(out[0], np.full(2, init))
         np.testing.assert_array_equal(out[2], np.full(2, init))
         np.testing.assert_array_equal(out, oracle)
@@ -183,7 +176,7 @@ def test_segment_reduce_counter_increments():
     prev = obs.set_registry(MetricsRegistry())
     try:
         a = uniform_random(30, 200, seed=5, weighted=True)
-        b = _dense_operand(a, 4, seed=6)
+        b = dense_operand(a, 4, seed=6)
         segment_spmm_like(a, b, PLUS_TIMES)
         counter = obs.get_registry().counter("segment.reduce_calls", op="add")
         assert counter.value >= 1
@@ -225,23 +218,50 @@ def test_fingerprint_content_addressing():
 
 def test_to_dense_engine_matches_oracle_including_duplicates():
     sorted_free = uniform_random(25, 180, seed=11, weighted=True)
-    np.testing.assert_array_equal(
-        sorted_free.to_dense(), scatter_oracle_to_dense(sorted_free)
-    )
-    # Duplicate (row, col) pattern: engine must fall back to accumulation.
+    np.testing.assert_array_equal(sorted_free.to_dense(), loop_to_dense(sorted_free))
+    # Duplicate (row, col) pattern: to_dense must fall back to accumulation.
     rows = np.array([0, 0, 1, 2, 2, 2])
     cols = np.array([1, 1, 0, 2, 2, 0])
     vals = np.array([1.5, 2.5, 3.0, 1.0, 1.0, 4.0], dtype=np.float32)
     dup = csr_from_coo(rows, cols, vals, shape=(3, 3), sum_duplicates=False)
-    np.testing.assert_array_equal(dup.to_dense(), scatter_oracle_to_dense(dup))
+    np.testing.assert_array_equal(dup.to_dense(), loop_to_dense(dup))
     assert dup.to_dense()[0, 1] == np.float32(4.0)
+
+
+def _messy(a, duplicate):
+    """``a`` with each row's entries reversed (unsorted columns) and,
+    optionally, every entry stored twice with different values."""
+    rows, cols, vals = a.to_coo()
+    if duplicate:
+        rows = np.concatenate([rows, rows])
+        cols = np.concatenate([cols, cols])
+        vals = np.concatenate([vals, vals * np.float32(0.5)])
+    order = np.lexsort((-np.arange(rows.size), rows))  # by row, reversed within
+    rowptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=a.nrows))])
+    return CSRMatrix(a.shape, rowptr, cols[order], vals[order])
+
+
+@given(a=csr_matrices(), duplicate=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_to_dense_fallback_matches_loop_oracle(a, duplicate):
+    """The accumulating fallback (duplicate or unsorted patterns) and the
+    direct placement (canonical patterns) against the per-entry loop."""
+    np.testing.assert_array_equal(a.to_dense(), loop_to_dense(a))
+    messy = _messy(a, duplicate)
+    np.testing.assert_array_equal(messy.to_dense(), loop_to_dense(messy))
+
+
+@pytest.mark.parametrize("shape", sorted(degenerate_csr()))
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_to_dense_fallback_degenerate_shapes(shape, duplicate):
+    messy = _messy(degenerate_csr()[shape], duplicate)
+    np.testing.assert_array_equal(messy.to_dense(), loop_to_dense(messy))
 
 
 def test_normalizers_parity_across_toggle():
     a = power_law(120, 1500, seed=12, weighted=True)
-    with use_segment_engine(True):
-        rn1, sn1 = a.row_normalized(), a.sym_normalized()
-    with use_segment_engine(False):
+    rn1, sn1 = a.row_normalized(), a.sym_normalized()
+    with use_scatter_oracles():
         rn0, sn0 = a.row_normalized(), a.sym_normalized()
     np.testing.assert_allclose(rn1.values, rn0.values, rtol=1e-6)
     np.testing.assert_allclose(sn1.values, sn0.values, rtol=1e-6)
@@ -302,20 +322,22 @@ def test_argmax_empty_rows_and_nan_cells_hold_minus_one():
 
 
 # ----------------------------------------------------------------------
-# aggregate_max: engine vs preserved scatter path
+# aggregate_max: engine vs the scatter oracle
 # ----------------------------------------------------------------------
 
 
 def _run_aggregate(a, x_data, grad, enabled):
+    """``aggregate_max`` forward + backward on the engine (``enabled``)
+    or on the scatter oracle."""
     from repro.gnn.aggregate import GraphPair, aggregate_max
     from repro.gnn.tensor import Tensor
 
     no_cost = lambda *args, **kw: 0.0
     record = lambda *args, **kw: None
-    with use_segment_engine(enabled):
-        x = Tensor(x_data.copy(), requires_grad=True)
-        y = aggregate_max(GraphPair(a), x, no_cost, no_cost, record)
-        y.backward(grad.copy())
+    aggregate = aggregate_max if enabled else aggregate_oracles.aggregate_max
+    x = Tensor(x_data.copy(), requires_grad=True)
+    y = aggregate(GraphPair(a), x, no_cost, no_cost, record)
+    y.backward(grad.copy())
     return y.data, x.grad
 
 

@@ -2,12 +2,13 @@
 executor.
 
 Locks the tiling contract in ``repro.sparse.segment``'s docstring: the
-tiled path must be **bit-identical** to the untiled engine body for
-every tile geometry (T=1, T >= N, N % T != 0), every reduceat-capable
+tiled path must be **bit-identical** to the untiled engine body
+(``tests/oracles/segment.py``) for every tile geometry (T=1, T >= N, N % T != 0), every reduceat-capable
 reduction (add / maximum / minimum, plus mean's finalize), and every
 edge shape (empty rows, empty matrices, zero-width operands) — tiles
 never split a row's reduction, so even float32 addition associates
-identically.  Also covers the workspace pool (reuse/alloc counters,
+identically.  Tile widths are forced by patching the module's
+``tile_width_for`` (:func:`forced_tile`).  Also covers the workspace pool (reuse/alloc counters,
 free-list cap, clearing), the multi-operand batching primitive (byte
 parity with per-operand calls, one gather's worth of allocations), the
 ``_sparse_nonzero`` pad path that keeps non-multiple-of-8 widths on the
@@ -17,60 +18,48 @@ uint64 prefilter, and the fused ``segment_max_with_argmax`` traversal
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.semiring import MAX_TIMES, MEAN_TIMES, MIN_TIMES, PLUS_TIMES
+from repro.semiring import MAX_TIMES, MEAN_TIMES, PLUS_TIMES
 from repro.sparse import (
     clear_workspace_pool,
     csr_from_coo,
     power_law,
+    segment,
     segment_argmax,
     segment_max_with_argmax,
     segment_spmm_like,
     segment_spmm_like_multi,
-    set_tile_width,
-    set_tiling,
     tile_width_for,
-    tiling_enabled,
     uniform_random,
-    use_tile_width,
-    use_tiling,
     workspace_stats,
 )
 from repro.sparse.ops import reference_spmm_like_multi
-from repro.sparse.segment import _POOL, _sparse_nonzero
-
-SEMIRINGS = {
-    "plus": PLUS_TIMES,
-    "max": MAX_TIMES,
-    "min": MIN_TIMES,
-    "mean": MEAN_TIMES,
-}
+from repro.sparse.segment import _POOL, _sparse_nonzero, reduce_ufunc
+from tests.oracles import use_scatter_oracles
+from tests.oracles.segment import untiled_max_with_argmax, untiled_spmm_like
+from tests.strategies import SEMIRINGS, csr_matrices, dense_operand
 
 
-@st.composite
-def csr_matrices(draw, max_m=30, max_k=25, max_nnz=150):
-    """Random CSR with deliberate empty rows (same shape family as
-    ``test_segment_engine.csr_matrices``)."""
-    m = draw(st.integers(1, max_m))
-    k = draw(st.integers(1, max_k))
-    nnz = draw(st.integers(0, min(max_nnz, m * k)))
-    seed = draw(st.integers(0, 2**20))
-    rng = np.random.default_rng(seed)
-    active = max(1, m // 2)
-    rows = rng.integers(0, active, size=nnz)
-    cols = rng.integers(0, k, size=nnz)
-    vals = rng.standard_normal(nnz).astype(np.float32)
-    return csr_from_coo(rows, cols, vals, shape=(m, k), sum_duplicates=True)
+@contextmanager
+def forced_tile(tile):
+    """Pin the executor's tile width for a scope (None keeps the
+    heuristic); the tile loop looks ``tile_width_for`` up per call."""
+    with pytest.MonkeyPatch.context() as mp:
+        if tile is not None:
+            mp.setattr(segment, "tile_width_for", lambda nnz, n: max(1, min(tile, n)))
+        yield
 
 
-def _dense_operand(a, n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((a.ncols, n)).astype(np.float32)
+def _untiled(a, b, sr):
+    out = np.full((a.nrows, b.shape[1]), sr.init, dtype=np.float32)
+    return untiled_spmm_like(a, b, sr, reduce_ufunc(sr), out)
 
 
 # ----------------------------------------------------------------------
@@ -86,10 +75,9 @@ def test_tiled_bit_identical_to_untiled(name, tile, a, n, seed):
     """Bit parity for every reduction: tiles never split a row segment,
     so even the float32 add accumulates in the identical order."""
     sr = SEMIRINGS[name]
-    b = _dense_operand(a, n, seed)
-    with use_tiling(False):
-        want = segment_spmm_like(a, b, sr)
-    with use_tile_width(tile):
+    b = dense_operand(a, n, seed)
+    want = _untiled(a, b, sr)
+    with forced_tile(tile):
         got = segment_spmm_like(a, b, sr)
     np.testing.assert_array_equal(got, want)
     # Adaptive width too (covers T == N for these small operands).
@@ -103,11 +91,10 @@ def test_tiled_parity_on_power_law(name):
     graph at N=100 (not a multiple of the tile width or of 8)."""
     sr = SEMIRINGS[name]
     a = power_law(300, 4000, seed=7, weighted=True)
-    b = _dense_operand(a, 100, seed=3)
-    with use_tiling(False):
-        want = segment_spmm_like(a, b, sr)
+    b = dense_operand(a, 100, seed=3)
+    want = _untiled(a, b, sr)
     for tile in (1, 8, 33, 100, 512, None):
-        with use_tile_width(tile):
+        with forced_tile(tile):
             np.testing.assert_array_equal(segment_spmm_like(a, b, sr), want)
 
 
@@ -125,31 +112,15 @@ def test_tiled_empty_rows_matrices_and_widths():
 
 def test_out_buffer_reused_and_validated():
     a = uniform_random(20, 80, seed=2, weighted=True)
-    b = _dense_operand(a, 10, seed=3)
+    b = dense_operand(a, 10, seed=3)
     out = np.empty((a.nrows, 10), dtype=np.float32)
     got = segment_spmm_like(a, b, PLUS_TIMES, out=out)
     assert got is out
-    with use_tiling(False):
-        np.testing.assert_array_equal(out, segment_spmm_like(a, b, PLUS_TIMES))
+    np.testing.assert_array_equal(out, _untiled(a, b, PLUS_TIMES))
     with pytest.raises(ValueError):
         segment_spmm_like(a, b, PLUS_TIMES, out=np.empty((a.nrows, 9), np.float32))
     with pytest.raises(ValueError):
         segment_spmm_like(a, b, PLUS_TIMES, out=np.empty((a.nrows, 10), np.float64))
-
-
-def test_tiling_toggles_restore_and_report():
-    assert tiling_enabled()
-    with use_tiling(False):
-        assert not tiling_enabled()
-    assert tiling_enabled()
-    assert set_tiling(False) is True
-    assert set_tiling(True) is False
-    prev = set_tile_width(24)
-    try:
-        assert tile_width_for(10_000, 256) == 24
-        assert tile_width_for(10_000, 16) == 16  # forced width capped at n
-    finally:
-        set_tile_width(prev)
 
 
 def test_tile_width_heuristic_shape():
@@ -173,8 +144,8 @@ def test_workspace_pool_reuse_and_counters():
     clear_workspace_pool()
     try:
         a = power_law(200, 3000, seed=4, weighted=True)
-        b = _dense_operand(a, 64, seed=5)
-        with use_tile_width(8):
+        b = dense_operand(a, 64, seed=5)
+        with forced_tile(8):
             segment_spmm_like(a, b, PLUS_TIMES)
             reg = obs.get_registry()
             allocs_first = reg.counter("segment.workspace.allocs").value
@@ -182,6 +153,8 @@ def test_workspace_pool_reuse_and_counters():
             assert reg.gauge("segment.workspace.bytes_peak").value > 0
             segment_spmm_like(a, b, PLUS_TIMES)  # steady state: pool hits only
             assert reg.counter("segment.workspace.allocs").value == allocs_first
+            # The forced width reached the tile loop: 64 / 8 tiles per call.
+            assert reg.counter("segment.tiles", op="add").value == 16
             assert reg.counter("segment.workspace.reuses").value >= 1
         stats = workspace_stats()
         assert stats["free_buffers"] >= 1
@@ -213,9 +186,9 @@ def test_workspace_pool_free_list_capped():
 
 def test_multi_byte_identical_to_per_operand_loop():
     a = power_law(300, 5000, seed=6, weighted=True)
-    bs = [_dense_operand(a, n, seed=n) for n in (3, 17, 64, 100)]
+    bs = [dense_operand(a, n, seed=n) for n in (3, 17, 64, 100)]
     for sr in (PLUS_TIMES, MAX_TIMES, MEAN_TIMES):
-        with use_tile_width(16):
+        with forced_tile(16):
             multi = segment_spmm_like_multi(a, bs, sr)
             loop = [segment_spmm_like(a, b, sr) for b in bs]
         assert len(multi) == len(loop)
@@ -227,11 +200,11 @@ def test_multi_shares_one_workspace_acquisition():
     """Coalescing K operands must cost one gather's worth of workspace
     allocations (ws + operand-tile buffer), not K."""
     a = power_law(300, 5000, seed=6, weighted=True)
-    bs = [_dense_operand(a, 64, seed=n) for n in range(6)]
+    bs = [dense_operand(a, 64, seed=n) for n in range(6)]
     prev = obs.set_registry(MetricsRegistry())
     clear_workspace_pool()
     try:
-        with use_tile_width(8):
+        with forced_tile(8):
             segment_spmm_like_multi(a, bs, PLUS_TIMES)
         reg = obs.get_registry()
         assert reg.counter("segment.workspace.allocs").value <= 2
@@ -243,7 +216,7 @@ def test_multi_shares_one_workspace_acquisition():
 
 def test_multi_mixed_widths_empty_and_outs():
     a = uniform_random(25, 120, seed=8, weighted=True)
-    bs = [_dense_operand(a, 5, seed=1), np.zeros((a.ncols, 0), np.float32)]
+    bs = [dense_operand(a, 5, seed=1), np.zeros((a.ncols, 0), np.float32)]
     outs = [np.empty((a.nrows, 5), np.float32), np.empty((a.nrows, 0), np.float32)]
     got = segment_spmm_like_multi(a, bs, PLUS_TIMES, outs=outs)
     assert got[0] is outs[0] and got[1] is outs[1]
@@ -255,9 +228,8 @@ def test_multi_mixed_widths_empty_and_outs():
 
 def test_multi_untiled_fallback_matches():
     a = uniform_random(25, 120, seed=9, weighted=True)
-    bs = [_dense_operand(a, n, seed=n) for n in (4, 11)]
-    with use_tiling(False):
-        off = segment_spmm_like_multi(a, bs, PLUS_TIMES)
+    bs = [dense_operand(a, n, seed=n) for n in (4, 11)]
+    off = [_untiled(a, b, PLUS_TIMES) for b in bs]
     on = segment_spmm_like_multi(a, bs, PLUS_TIMES)
     for got, want in zip(on, off):
         np.testing.assert_array_equal(got, want)
@@ -265,12 +237,11 @@ def test_multi_untiled_fallback_matches():
 
 def test_reference_multi_dispatch_matches_reference():
     from repro.sparse.ops import reference_spmm_like
-    from repro.sparse.segment import use_segment_engine
 
     a = uniform_random(30, 150, seed=10, weighted=True)
-    bs = [_dense_operand(a, n, seed=n) for n in (6, 20)]
+    bs = [dense_operand(a, n, seed=n) for n in (6, 20)]
     engine = reference_spmm_like_multi(a, bs, MAX_TIMES)
-    with use_segment_engine(False):
+    with use_scatter_oracles():
         oracle = reference_spmm_like_multi(a, bs, MAX_TIMES)
     for got, want, b in zip(engine, oracle, bs):
         np.testing.assert_array_equal(got, want)
@@ -346,10 +317,9 @@ def test_argmax_unaligned_width_matches_aligned_semantics():
 @given(a=csr_matrices(), n=st.integers(1, 24), seed=st.integers(0, 2**20))
 @settings(max_examples=25, deadline=None)
 def test_max_with_argmax_matches_untiled_two_pass(a, n, seed):
-    b = _dense_operand(a, n, seed)
-    with use_tiling(False):
-        want_out, want_am = segment_max_with_argmax(a, b)
-    with use_tile_width(3):
+    b = dense_operand(a, n, seed)
+    want_out, want_am = untiled_max_with_argmax(a, b)
+    with forced_tile(3):
         got_out, got_am = segment_max_with_argmax(a, b)
     np.testing.assert_array_equal(got_out, want_out)
     np.testing.assert_array_equal(got_am, want_am)
