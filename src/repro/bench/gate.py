@@ -18,11 +18,6 @@ The report is deterministic in both renderings (:meth:`GateReport.format`
 for humans, :meth:`GateReport.to_json` for tooling), and the CLI wrapper
 (``repro-bench gate``, ``make gate``) maps the outcome onto CI-friendly
 exit codes: 0 pass, 1 regression, 2 unusable input.
-
-Interop with the older flat-map harness (:mod:`repro.bench.regression`)
-goes through :func:`repro.bench.regression.document_measurements`: a
-BENCH document collapses to the ``{key: seconds}`` shape that
-``capture``/``compare`` use, and both layers share one cell-key format.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.regression import measurement_key
 from repro.bench.telemetry import validate_bench_document
 
 __all__ = [
@@ -431,7 +425,9 @@ def geomean_key(g: Dict[str, Any]) -> str:
 
 
 def _cell_key(cell: Dict[str, Any]) -> str:
-    return measurement_key(cell["kernel"], cell["graph"], cell["n"], cell["gpu"])
+    """Stable key for one cell, ``kernel|graph|N=<n>|gpu`` — the form
+    accepted-drift patterns glob against."""
+    return f"{cell['kernel']}|{cell['graph']}|N={int(cell['n'])}|{cell['gpu']}"
 
 
 def _classify(

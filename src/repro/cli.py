@@ -74,10 +74,13 @@ ALL_KERNELS = {
 }
 
 
+CITATION_GRAPHS = ("cora", "citeseer", "pubmed")
+
+
 def _load_graph_arg(args):
     if args.graph == "random":
         return uniform_random(args.m, args.nnz, seed=args.seed)
-    if args.graph in ("cora", "citeseer", "pubmed"):
+    if args.graph in CITATION_GRAPHS:
         return load_citation(args.graph).normalized_adjacency()
     return load_graph(args.graph, max_nnz=args.max_nnz)
 
@@ -555,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_graph_opts(sp):
-        sp.add_argument("--graph", default="random",
+        sp.add_argument("--graph", default="random", metavar="NAME",
+                        choices=["random", *CITATION_GRAPHS, *catalog_names()],
                         help="'random', a citation graph, or a SNAP matrix name")
         sp.add_argument("--m", type=int, default=65_536, help="rows for --graph random")
         sp.add_argument("--nnz", type=int, default=650_000, help="nonzeros for --graph random")
@@ -601,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("train", help="train a GNN on a citation twin")
-    sp.add_argument("--dataset", default="cora", choices=["cora", "citeseer", "pubmed"])
+    sp.add_argument("--dataset", default="cora", choices=CITATION_GRAPHS)
     sp.add_argument("--model", default="gcn", choices=["gcn", "sage-gcn", "sage-pool"])
     sp.add_argument("--backend", default="dgl", choices=["dgl", "pyg"])
     sp.add_argument("--gespmm", action="store_true", help="swap in GE-SpMM")

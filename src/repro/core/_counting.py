@@ -20,8 +20,8 @@ parity oracles by ``tests/test_access_profile.py``.  Kernels call the
 counters as ``cnt.<counter>`` through this module, so tests and the
 microbenchmark swap the oracles in by patching the module attribute.
 
-Counts are exact under the alignment established by ``TraceMemory``
-(buffers are 32 B aligned).  For dense segments this means: when
+Counts are exact under the alignment the trace replay establishes
+(``BatchTraceMemory`` buffers are 32 B aligned).  For dense segments this means: when
 ``N % 8 == 0`` every row of ``B`` starts on a sector boundary and the
 closed form ``ceil(len/8)`` per segment applies; otherwise the count
 depends on each nonzero's column modulo 8.  The trace-vs-analytic

@@ -1,14 +1,15 @@
 """Base class shared by all simulated SpMM kernels.
 
-A kernel model couples three views of the same algorithm:
+A kernel model couples up to three views of the same algorithm:
 
 * ``run``      — functional execution (vectorized NumPy), producing the
                  numeric output; validated against the SciPy oracle.
 * ``count``    — closed-form access/instruction statistics plus launch
                  shape; validated against ``trace`` where implemented.
-* ``trace``    — optional faithful warp-by-warp execution through
-                 :class:`repro.gpusim.memory.TraceMemory`; exact but slow,
-                 used on small inputs by tests and profiling examples.
+* ``trace``    — optional warp-level replay of every access the kernel
+                 issues, batched over all warps of the launch
+                 (:mod:`repro.gpusim.batchtrace`); exact, used on small
+                 inputs by tests, the warp timeline and profiling examples.
 
 ``estimate`` ties ``count`` to the timing model.  Results are memoized in
 a process-wide content-addressed cache keyed on ``(kernel.cache_key(),
@@ -124,17 +125,6 @@ class SpMMKernel(ABC):
         semiring: Semiring = PLUS_TIMES,
     ) -> Tuple[np.ndarray, KernelStats]:
         """Faithful warp-level execution (batched replay).  Optional."""
-        raise NotImplementedError(f"{self.name} has no trace-mode implementation")
-
-    def trace_loop(
-        self,
-        a: CSRMatrix,
-        b: np.ndarray,
-        gpu: GPUSpec,
-        semiring: Semiring = PLUS_TIMES,
-    ) -> Tuple[np.ndarray, KernelStats]:
-        """Reference per-warp loop replay, the parity oracle for
-        :meth:`trace` (see ``docs/PERFORMANCE.md``).  Optional."""
         raise NotImplementedError(f"{self.name} has no trace-mode implementation")
 
     # -- timing ----------------------------------------------------------

@@ -25,6 +25,18 @@ __all__ = ["CSRMatrix", "csr_from_coo", "csr_from_dense", "csr_from_scipy"]
 
 INDEX_DTYPE = np.int32
 VALUE_DTYPE = np.float32
+_INDEX_INFO = np.iinfo(INDEX_DTYPE)
+
+
+def _as_index(array, name: str) -> np.ndarray:
+    """``array`` as contiguous ``int32``.  Input in a wider dtype is
+    range-checked first, so an out-of-range index is rejected instead of
+    wrapping (``2**32 + 3`` would otherwise become ``3``)."""
+    arr = np.asarray(array)
+    if arr.size and not np.can_cast(arr.dtype, INDEX_DTYPE):
+        if arr.min() < _INDEX_INFO.min or arr.max() > _INDEX_INFO.max:
+            raise ValueError(f"{name} holds values outside the int32 index range")
+    return np.ascontiguousarray(arr, dtype=INDEX_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -52,8 +64,8 @@ class CSRMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", (int(self.shape[0]), int(self.shape[1])))
-        object.__setattr__(self, "rowptr", np.ascontiguousarray(self.rowptr, dtype=INDEX_DTYPE))
-        object.__setattr__(self, "colind", np.ascontiguousarray(self.colind, dtype=INDEX_DTYPE))
+        object.__setattr__(self, "rowptr", _as_index(self.rowptr, "rowptr"))
+        object.__setattr__(self, "colind", _as_index(self.colind, "colind"))
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=VALUE_DTYPE))
         # Lazy derived-array cache (row lengths, COO rows, int64 colind,
         # content fingerprint) — paid once per matrix, not per operation.

@@ -1,4 +1,5 @@
-"""Parity oracles for the host executor and the access counters.
+"""Parity oracles for the host executor, the access counters and the
+trace replay.
 
 Test-only: nothing under ``src/`` imports this package
 (``tests/test_api_surface.py`` enforces it).  Every oracle is an
@@ -16,7 +17,12 @@ against the same bodies as before:
   tie-sharing scatter path that ``aggregate_max``'s argmax backward
   replaced;
 * :mod:`.counting` — the six array-expansion counters behind
-  ``repro.core._counting``'s profile-backed closed forms.
+  ``repro.core._counting``'s profile-backed closed forms;
+* :mod:`.trace` — ``trace_loop`` / ``trace_xy_loop``, the per-warp
+  replays every kernel's batched ``trace`` must match counter for
+  counter, on the exact per-access ``TraceMemory`` model, plus the
+  scalar ``warp_sector_count`` / ``bank_conflict_passes`` references
+  and the trace-parity assertions.
 
 The two context managers below reroute production call sites onto the
 oracles for a scope.  Production modules call these functions through

@@ -1,8 +1,8 @@
 """Byte-identity of the batched replay engine against the per-warp loops.
 
 The tentpole contract of ``repro.gpusim.batchtrace``: every kernel's
-vectorized ``trace`` must reproduce its reference ``trace_loop`` down to
-the last counter — instructions, transactions, requested bytes, the
+vectorized ``trace`` must reproduce its per-warp reference replay
+(``tests/oracles/trace.py``) down to the last counter — instructions, transactions, requested bytes, the
 Turing L1 recency-filtered sector count, per-array traffic — *and* the
 numeric output array must be bit-identical (``array_equal``, not
 allclose), because both paths must execute the same floating-point
@@ -15,23 +15,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core
 from repro.core import (
     CRCSpMM,
     CWMSpMM,
     FusedGESpMM,
     GESDDMM,
     GESpMM,
+    MergePathSpMM,
     SimpleSpMM,
     bias_relu_epilogue,
 )
 from repro.semiring import MAX_TIMES, MEAN_TIMES, MIN_TIMES, PLUS_TIMES
-from repro.gpusim import GTX_1080TI, RTX_2080
+from repro.gpusim import GTX_1080TI, RTX_2080, SpMMKernel
 from repro.sparse import power_law, uniform_random
+from tests.oracles import trace as oracle
+from tests.oracles.trace import assert_stats_identical, trace_loop, trace_xy_loop
 
 KERNELS = {
     "simple": SimpleSpMM,
     "crc": CRCSpMM,
     "cwm3": lambda: CWMSpMM(3),
+    "mergepath": MergePathSpMM,
     "gespmm": GESpMM,
     "fused-relu": FusedGESpMM,
 }
@@ -41,28 +46,6 @@ MATRICES = {
     "powerlaw": lambda: power_law(m=36, nnz=288, exponent=1.9, seed=7),
     "empty-rows": lambda: uniform_random(m=48, nnz=24, seed=7),
 }
-
-
-def assert_stats_identical(batch, loop, context=""):
-    """Every counter the timing model can see, including the L1 filter
-    output and the per-array traffic ledger."""
-    for stream in ("global_load", "global_store", "shared_load", "shared_store"):
-        b, l = getattr(batch, stream), getattr(loop, stream)
-        for f in ("instructions", "transactions", "requested_bytes",
-                  "l1_filtered_transactions"):
-            assert getattr(b, f) == getattr(l, f), (
-                f"{context} {stream}.{f}: batch={getattr(b, f)} "
-                f"loop={getattr(l, f)}"
-            )
-    assert set(batch.array_traffic) == set(loop.array_traffic), context
-    for name in loop.array_traffic:
-        bt, lt = batch.array_traffic[name], loop.array_traffic[name]
-        assert bt.sectors == lt.sectors, f"{context} traffic[{name}].sectors"
-        assert bt.unique_bytes == lt.unique_bytes, (
-            f"{context} traffic[{name}].unique_bytes"
-        )
-    assert batch.warp_syncs == loop.warp_syncs, context
-    assert batch.flops == loop.flops, context
 
 
 @pytest.mark.parametrize("gpu", [GTX_1080TI, RTX_2080], ids=lambda g: g.name)
@@ -75,7 +58,7 @@ def test_batch_matches_loop(kernel_id, matrix_id, n, gpu):
     b = rng.standard_normal((a.ncols, n)).astype(np.float32)
     kernel = KERNELS[kernel_id]()
     c_batch, s_batch = kernel.trace(a, b, gpu)
-    c_loop, s_loop = kernel.trace_loop(a, b, gpu)
+    c_loop, s_loop = trace_loop(kernel, a, b, gpu)
     ctx = f"{kernel.name} {matrix_id} n={n} {gpu.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     # Bit-identity, not tolerance: same fp operation order on both paths.
@@ -86,7 +69,7 @@ def test_batch_matches_loop(kernel_id, matrix_id, n, gpu):
     "semiring", [PLUS_TIMES, MAX_TIMES, MIN_TIMES, MEAN_TIMES],
     ids=lambda s: s.name,
 )
-@pytest.mark.parametrize("kernel_id", ("simple", "crc", "cwm3", "gespmm"))
+@pytest.mark.parametrize("kernel_id", ("simple", "crc", "cwm3", "mergepath", "gespmm"))
 def test_batch_matches_loop_semirings(kernel_id, semiring):
     """The row fold must replay the scalar accumulation order for every
     builtin semiring (plus/max/min/mean), not just plus-times."""
@@ -95,7 +78,7 @@ def test_batch_matches_loop_semirings(kernel_id, semiring):
     b = rng.standard_normal((a.ncols, 24)).astype(np.float32)
     kernel = KERNELS[kernel_id]()
     c_batch, s_batch = kernel.trace(a, b, GTX_1080TI, semiring)
-    c_loop, s_loop = kernel.trace_loop(a, b, GTX_1080TI, semiring)
+    c_loop, s_loop = trace_loop(kernel, a, b, GTX_1080TI, semiring)
     ctx = f"{kernel.name} {semiring.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     np.testing.assert_array_equal(c_batch, c_loop, err_msg=ctx)
@@ -110,7 +93,7 @@ def test_batch_matches_loop_fused_bias(n, gpu):
     bias = rng.standard_normal(n).astype(np.float32)
     kernel = FusedGESpMM(bias_relu_epilogue())
     c_batch, s_batch = kernel.trace(a, b, gpu, bias=bias)
-    c_loop, s_loop = kernel.trace_loop(a, b, gpu, bias=bias)
+    c_loop, s_loop = trace_loop(kernel, a, b, gpu, bias=bias)
     ctx = f"fused-bias n={n} {gpu.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     np.testing.assert_array_equal(c_batch, c_loop, err_msg=ctx)
@@ -126,7 +109,7 @@ def test_batch_matches_loop_sddmm(matrix_id, n, gpu):
     y = rng.standard_normal((mask.ncols, n)).astype(np.float32)
     kernel = GESDDMM()
     e_batch, s_batch = kernel.trace_xy(mask, x, y, gpu)
-    e_loop, s_loop = kernel.trace_xy_loop(mask, x, y, gpu)
+    e_loop, s_loop = trace_xy_loop(kernel, mask, x, y, gpu)
     ctx = f"sddmm {matrix_id} n={n} {gpu.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     np.testing.assert_array_equal(e_batch.values, e_loop.values, err_msg=ctx)
@@ -139,3 +122,29 @@ def test_sddmm_trace_stub_is_pointed():
     b = np.ones((mask.ncols, 8), dtype=np.float32)
     with pytest.raises(NotImplementedError, match=r"trace_xy\(mask, x, y, gpu\)"):
         GESDDMM().trace(mask, b, GTX_1080TI)
+
+
+def test_every_batched_trace_has_a_perwarp_reference():
+    """A kernel cannot ship a batched replay without its per-warp
+    reference: every SpMMKernel exported by ``repro.core`` whose
+    ``trace`` runs has an entry in the oracle dispatch.  (GESDDMM's
+    ``trace`` refuses the SpMM signature; its replay is ``trace_xy``,
+    checked against ``trace_xy_loop`` above.)"""
+    a = uniform_random(m=6, nnz=12, seed=0)
+    b = np.ones((a.ncols, 4), dtype=np.float32)
+    exported = [getattr(repro.core, name) for name in repro.core.__all__]
+    replayed = [
+        cls for cls in exported
+        if isinstance(cls, type) and issubclass(cls, SpMMKernel)
+        and cls.trace is not SpMMKernel.trace
+    ]
+    missing = []
+    for cls in replayed:
+        try:
+            cls().trace(a, b, GTX_1080TI)
+        except NotImplementedError:
+            continue
+        if cls not in oracle.LOOPS:
+            missing.append(cls.__name__)
+    assert not missing, f"batched trace without a per-warp reference: {missing}"
+    assert {SimpleSpMM, CRCSpMM, CWMSpMM, MergePathSpMM, GESpMM, FusedGESpMM} <= set(replayed)

@@ -33,6 +33,7 @@ from repro.core import (
 from repro.core.sddmm import reference_sddmm
 from repro.gpusim import GTX_1080TI, RTX_2080
 from repro.sparse import power_law, reference_spmm_like, uniform_random
+from tests.oracles.trace import assert_counts_equal
 
 # -- the grid axes ----------------------------------------------------------
 
@@ -65,19 +66,6 @@ SLOW_WIDTHS = (1, 24, 32, 64, 96)
 SLOW_SEEDS = (2, 3, 4)
 
 
-def assert_stats_equal(traced, analytic, context=""):
-    """Exact parity on every access stream the timing model consumes."""
-    for stream in ("global_load", "global_store", "shared_load", "shared_store"):
-        for f in ("instructions", "transactions", "requested_bytes"):
-            t = getattr(getattr(traced, stream), f)
-            a = getattr(getattr(analytic, stream), f)
-            assert t == a, f"{context} {stream}.{f}: trace={t} analytic={a}"
-    assert traced.warp_syncs == analytic.warp_syncs, (
-        f"{context} warp_syncs: trace={traced.warp_syncs} "
-        f"analytic={analytic.warp_syncs}"
-    )
-
-
 def check_spmm_kernel(kernel_factory, matrix_factory, n, gpu, seed):
     a = matrix_factory(seed)
     rng = np.random.default_rng(seed + 1000)
@@ -85,7 +73,7 @@ def check_spmm_kernel(kernel_factory, matrix_factory, n, gpu, seed):
     kernel = kernel_factory()
     c, traced = kernel.trace(a, b, gpu)
     analytic, _, _ = kernel.count(a, n, gpu)
-    assert_stats_equal(traced, analytic, f"{kernel.name} n={n} {gpu.name}")
+    assert_counts_equal(traced, analytic, f"{kernel.name} n={n} {gpu.name}")
     ref = reference_spmm_like(a, b)
     if isinstance(kernel, FusedGESpMM):
         ref = kernel.epilogue.fn(ref, None)
@@ -100,7 +88,7 @@ def check_fused_bias_kernel(matrix_factory, n, gpu, seed):
     kernel = FusedGESpMM(bias_relu_epilogue())
     c, traced = kernel.trace(a, b, gpu, bias=bias)
     analytic, _, _ = kernel.count(a, n, gpu)
-    assert_stats_equal(traced, analytic, f"{kernel.name} n={n} {gpu.name}")
+    assert_counts_equal(traced, analytic, f"{kernel.name} n={n} {gpu.name}")
     ref = np.maximum(reference_spmm_like(a, b) + bias[None, :], 0.0)
     np.testing.assert_allclose(c, ref, rtol=1e-4, atol=1e-4)
 
@@ -118,7 +106,7 @@ def check_sddmm_kernel(matrix_factory, n, gpu, seed):
     np.testing.assert_allclose(e.values, ref.values, rtol=1e-4, atol=1e-5)
     if n % 8 == 0:
         analytic, _, _ = kernel.count(mask, n, gpu)
-        assert_stats_equal(traced, analytic, f"sddmm n={n} {gpu.name}")
+        assert_counts_equal(traced, analytic, f"sddmm n={n} {gpu.name}")
 
 
 # -- fast grid (tier-1) -----------------------------------------------------

@@ -61,6 +61,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="column"):
             csr_from_coo([0], [9], [1.0], shape=(2, 2))
 
+    def test_wide_indices_rejected_not_wrapped(self):
+        # 2**32 + 3 would wrap to column 3 — in range, so only a check
+        # before the int32 cast can catch it.
+        with pytest.raises(ValueError, match="colind.*int32"):
+            CSRMatrix((2, 5), [0, 1, 1], np.array([2**32 + 3]), [1.0])
+        with pytest.raises(ValueError, match="rowptr.*int32"):
+            CSRMatrix((2, 5), np.array([0, 2**32, 1], dtype=np.uint64), [3], [1.0])
+        # In-range wide input is still accepted and narrowed.
+        a = CSRMatrix((2, 5), np.array([0, 1, 1], dtype=np.int64), np.array([3], dtype=np.uint32), [1.0])
+        assert a.colind.dtype == np.int32 and a.colind.tolist() == [3]
+
     def test_row_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="row"):
             csr_from_coo([5], [0], [1.0], shape=(2, 2))

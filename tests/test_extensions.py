@@ -1,10 +1,9 @@
 """Tests for the extension subsystems: minibatch training, fused
-epilogues, roofline analysis, checkpoints, and the regression harness."""
+epilogues, roofline analysis and checkpoints."""
 
 import numpy as np
 import pytest
 
-from repro.bench import capture, compare, load_baseline, save_baseline
 from repro.core import CRCSpMM, FusedGESpMM, GESpMM, RELU_EPILOGUE, SimpleSpMM, bias_relu_epilogue
 from repro.datasets import load_cora
 from repro.gnn import (
@@ -138,52 +137,3 @@ class TestCheckpoint:
         deeper = GCN(ds.feature_dim, 8, ds.n_classes, n_layers=2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="mismatch"):
             load_checkpoint(deeper, path)
-
-
-class TestRegressionHarness:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        graphs = {"g": uniform_random(2000, 20_000, seed=2)}
-        kernels = [SimpleSpMM(), GESpMM()]
-        return kernels, graphs
-
-    def test_capture_keys(self, setup):
-        kernels, graphs = setup
-        m = capture(kernels, graphs, [64], [GTX_1080TI])
-        assert len(m) == 2
-        assert all("N=64" in k for k in m)
-
-    def test_roundtrip_and_stability(self, setup, tmp_path):
-        kernels, graphs = setup
-        m = capture(kernels, graphs, [64, 128], [GTX_1080TI])
-        path = tmp_path / "baseline.json"
-        save_baseline(m, path)
-        again = capture(kernels, graphs, [64, 128], [GTX_1080TI])
-        assert compare(load_baseline(path), again) == []  # deterministic model
-
-    def test_drift_detected(self, setup):
-        kernels, graphs = setup
-        m = capture(kernels, graphs, [64], [GTX_1080TI])
-        shifted = {k: v * 1.10 for k, v in m.items()}
-        drifted = compare(m, shifted, tolerance=0.02)
-        assert len(drifted) == len(m)
-        assert all(0.09 < e.drift < 0.11 for e in drifted)
-        assert "%" in drifted[0].describe()
-
-    def test_added_and_removed_keys(self, setup):
-        kernels, graphs = setup
-        m = capture(kernels, graphs, [64], [GTX_1080TI])
-        current = dict(m)
-        removed_key = next(iter(m))
-        del current[removed_key]
-        current["new|key|N=1|gpu"] = 1.0
-        drifted = compare(m, current)
-        kinds = {e.key: e.drift for e in drifted}
-        assert kinds[removed_key] == float("-inf")
-        assert kinds["new|key|N=1|gpu"] == float("inf")
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text('{"k": "not-a-number"}')
-        with pytest.raises(ValueError):
-            load_baseline(p)

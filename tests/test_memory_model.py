@@ -1,18 +1,16 @@
-"""Tests for the warp coalescing model, shared-memory banks and
-trace-mode memory accounting."""
+"""Tests for the warp coalescing model, shared-memory banks and the
+per-warp reference memory model (``tests/oracles/trace.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.gpusim import (
-    AccessStats,
-    KernelStats,
+from repro.gpusim import AccessStats, KernelStats, segment_sectors
+from tests.oracles.trace import (
     TraceMemory,
+    TraceSharedMemory,
     bank_conflict_passes,
-    segment_sectors,
     warp_sector_count,
 )
-from repro.gpusim.memory import TraceSharedMemory
 
 
 class TestWarpSectorCount:

@@ -36,6 +36,7 @@ from repro.core import (
 from repro.gpusim import GTX_1080TI, RTX_2080
 from repro.sparse import csr_from_coo, power_law, reference_spmm_like, uniform_random
 from repro.sparse.stats import graph_regime, row_imbalance
+from tests.oracles.trace import assert_counts_equal, assert_stats_identical, trace_loop
 
 GPU = GTX_1080TI
 
@@ -75,16 +76,6 @@ def small_csr(draw):
         return power_law(m=m, nnz=6 * m, exponent=1.8, seed=seed)
     m = draw(st.integers(8, 48))
     return uniform_random(m=m, nnz=m // 2, seed=seed)  # mostly empty rows
-
-
-def assert_stats_equal(lhs, rhs, context=""):
-    """Exact parity on every access stream the timing model consumes."""
-    for stream in ("global_load", "global_store", "shared_load", "shared_store"):
-        for f in ("instructions", "transactions", "requested_bytes"):
-            a = getattr(getattr(lhs, stream), f)
-            b = getattr(getattr(rhs, stream), f)
-            assert a == b, f"{context} {stream}.{f}: {a} != {b}"
-    assert lhs.warp_syncs == rhs.warp_syncs, context
 
 
 # -- 1. partition laws ------------------------------------------------------
@@ -157,8 +148,8 @@ def test_batched_trace_matches_perwarp_oracle(a, n, items):
     b = rng.random((a.ncols, n), dtype=np.float32)
     kernel = MergePathSpMM(items=items)
     c_fast, stats_fast = kernel.trace(a, b, GPU)
-    c_slow, stats_slow = kernel.trace_loop(a, b, GPU)
-    assert_stats_equal(stats_fast, stats_slow, f"items={items} n={n}")
+    c_slow, stats_slow = trace_loop(kernel, a, b, GPU)
+    assert_stats_identical(stats_fast, stats_slow, f"items={items} n={n}")
     assert np.array_equal(c_fast, c_slow)
 
 
@@ -170,7 +161,7 @@ def test_trace_matches_analytic_counters(a, n):
     kernel = MergePathSpMM()
     _, traced = kernel.trace(a, b, GPU)
     analytic, _, _ = kernel.count(a, n, GPU)
-    assert_stats_equal(traced, analytic, f"n={n}")
+    assert_counts_equal(traced, analytic, f"n={n}")
 
 
 @pytest.mark.parametrize("gpu", [GTX_1080TI, RTX_2080], ids=lambda g: g.name)
@@ -183,10 +174,10 @@ def test_items_one_maximal_carries_stay_in_parity(gpu):
     b = rng.random((a.ncols, 40), dtype=np.float32)
     kernel = MergePathSpMM(items=1)
     c_fast, stats_fast = kernel.trace(a, b, gpu)
-    c_slow, stats_slow = kernel.trace_loop(a, b, gpu)
+    c_slow, stats_slow = trace_loop(kernel, a, b, gpu)
     analytic, _, _ = kernel.count(a, 40, gpu)
-    assert_stats_equal(stats_fast, stats_slow, "trace vs loop")
-    assert_stats_equal(stats_fast, analytic, "trace vs count")
+    assert_stats_identical(stats_fast, stats_slow, "trace vs loop")
+    assert_counts_equal(stats_fast, analytic, "trace vs count")
     assert np.array_equal(c_fast, c_slow)
     np.testing.assert_allclose(c_fast, reference_spmm_like(a, b), rtol=1e-4, atol=1e-4)
     # Sanity on the carry model itself: with the finest partition, C
@@ -202,8 +193,8 @@ def test_general_semiring_trace_parity():
     kernel = MergePathSpMM(items=48)
     for semiring in builtin_semirings().values():
         c_fast, stats_fast = kernel.trace(a, b, GPU, semiring)
-        c_slow, stats_slow = kernel.trace_loop(a, b, GPU, semiring)
-        assert_stats_equal(stats_fast, stats_slow, semiring.name)
+        c_slow, stats_slow = trace_loop(kernel, a, b, GPU, semiring)
+        assert_stats_identical(stats_fast, stats_slow, semiring.name)
         assert np.array_equal(c_fast, c_slow), semiring.name
 
 

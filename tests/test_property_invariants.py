@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import _counting as cnt
-from repro.gpusim.memory import segment_sectors, warp_sector_count
+from repro.gpusim.memory import segment_sectors
 from repro.semiring import MAX_TIMES, MEAN_TIMES, PLUS_TIMES
 from repro.sparse import (
     csr_from_coo,
@@ -14,6 +14,7 @@ from repro.sparse import (
     reference_spmm_like,
     uniform_random,
 )
+from tests.oracles.trace import warp_sector_count
 
 # ----------------------------------------------------------------------
 # strategies

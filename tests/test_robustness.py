@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import CRCSpMM, GESpMM, SimpleSpMM
-from repro.gpusim import GTX_1080TI, TraceMemory
+from repro.gpusim import GTX_1080TI
 from repro.semiring import MAX_TIMES, PLUS_TIMES
 from repro.sparse import csr_from_coo, reference_spmm_like, uniform_random
+from tests.oracles.trace import TraceMemory
 
 
 class TestNumericalEdgeCases:

@@ -16,6 +16,7 @@ from repro.core import CRCSpMM, CWMSpMM, GESpMM, SimpleSpMM
 from repro.gpusim import GTX_1080TI, RTX_2080
 from repro.semiring import MAX_TIMES, PLUS_TIMES
 from repro.sparse import reference_spmm_like, uniform_random
+from tests.oracles.trace import assert_counts_equal
 
 KERNELS = {
     "simple": SimpleSpMM,
@@ -26,15 +27,6 @@ KERNELS = {
     # threshold, so both paths get trace parity asserted through it
     "gespmm": GESpMM,
 }
-
-
-def _assert_stats_equal(traced, analytic):
-    for field in ("instructions", "transactions", "requested_bytes"):
-        assert getattr(traced.global_load, field) == getattr(analytic.global_load, field), field
-        assert getattr(traced.global_store, field) == getattr(analytic.global_store, field), field
-        assert getattr(traced.shared_load, field) == getattr(analytic.shared_load, field), field
-        assert getattr(traced.shared_store, field) == getattr(analytic.shared_store, field), field
-    assert traced.warp_syncs == analytic.warp_syncs
 
 
 @pytest.mark.parametrize("kernel_factory", KERNELS.values(), ids=KERNELS.keys())
@@ -52,7 +44,7 @@ def test_trace_equals_analytic(kernel_factory, m, density, n, seed):
     kernel = kernel_factory()
     c, traced = kernel.trace(a, b, GTX_1080TI)
     analytic, _, _ = kernel.count(a, n, GTX_1080TI)
-    _assert_stats_equal(traced, analytic)
+    assert_counts_equal(traced, analytic)
     np.testing.assert_allclose(c, reference_spmm_like(a, b), rtol=1e-4, atol=1e-4)
 
 
@@ -65,7 +57,7 @@ def test_trace_equals_analytic_on_turing_raw_counts(kernel_factory, rng):
     kernel = kernel_factory()
     _, traced = kernel.trace(a, b, RTX_2080)
     analytic, _, _ = kernel.count(a, 48, RTX_2080)
-    _assert_stats_equal(traced, analytic)
+    assert_counts_equal(traced, analytic)
 
 
 @pytest.mark.parametrize("kernel_factory", KERNELS.values(), ids=KERNELS.keys())
@@ -77,7 +69,7 @@ def test_trace_with_max_semiring(kernel_factory, rng):
     np.testing.assert_allclose(c, reference_spmm_like(a, b, MAX_TIMES), rtol=1e-4, atol=1e-4)
     # Access pattern is semiring independent.
     analytic, _, _ = kernel.count(a, 40, GTX_1080TI)
-    _assert_stats_equal(traced, analytic)
+    assert_counts_equal(traced, analytic)
 
 
 def test_simple_l1_filter_bounded(rng):

@@ -121,6 +121,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli.main(["profile", "--gpu", "H100"])
 
+    def test_unknown_graph_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["profile", "--graph", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro-bench profile")
+        assert "invalid choice: 'nosuch'" in err
+        for name in ("random", "cora", "citeseer", "pubmed", "soc-Epinions1"):
+            assert f"'{name}'" in err
+
     def test_roofline(self, capsys):
         assert cli.main(
             ["roofline", "--graph", "random", "--m", "2000", "--nnz", "20000",
