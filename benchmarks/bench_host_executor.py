@@ -11,6 +11,9 @@ against the production path, best-of with interleaved reps:
 * max aggregation forward+backward, asserted **>= 3x** (the argmax
   backward replaces three ``(nnz, N)`` passes with one ``(M, N)``
   bincount),
+* max+argmax at N=64 on the hub-heavy power-law graph, the
+  jagged-diagonal fold vs. the untiled ``reduceat`` + equality-pass
+  argmax, asserted **>= 6x** (typical ~12-13x),
 * full-batch GCN training wall-clock, asserted **>= 2x**,
 * the cold full-grid analytic ``count()`` pass, oracle array-expansion
   counters vs. the cached AccessProfile closed forms, asserted **>= 3x**
@@ -48,6 +51,9 @@ from repro.bench.hostbench import format_result_line, update_bench_json_host
 #: measurements (~3.2-3.4x, ~2.5-2.8x, and >10x for the counting grid)
 #: to absorb machine noise.
 MIN_AGGREGATE_MAX_SPEEDUP = 3.0
+#: The max/min fold with its inline argmax vs. the untiled reduceat and
+#: equality-pass argmax (typical ~12-13x at N=64; about half of that).
+MIN_MAX_ARGMAX_SPEEDUP = 6.0
 MIN_GCN_TRAIN_SPEEDUP = 2.0
 MIN_COUNT_GRID_SPEEDUP = 3.0
 #: Regression guard only — the strict >=5x ISSUE floor lives in
@@ -86,11 +92,16 @@ def test_host_executor_microbench(benchmark, emit):
     update_bench_json_host(results, BENCH_JSON)
 
     agg = results["aggregate_max"]["speedup"]
+    fold = results["max_argmax"]["speedup"]
     gcn = results["gcn_train"]["speedup"]
     grid = results["count_grid"]["speedup"]
     assert agg >= MIN_AGGREGATE_MAX_SPEEDUP, (
         f"max-aggregation path speedup {agg:.2f}x below the "
         f"{MIN_AGGREGATE_MAX_SPEEDUP}x floor"
+    )
+    assert fold >= MIN_MAX_ARGMAX_SPEEDUP, (
+        f"max+argmax fold speedup {fold:.2f}x below the "
+        f"{MIN_MAX_ARGMAX_SPEEDUP}x floor"
     )
     assert gcn >= MIN_GCN_TRAIN_SPEEDUP, (
         f"GCN training speedup {gcn:.2f}x below the {MIN_GCN_TRAIN_SPEEDUP}x floor"

@@ -8,6 +8,9 @@ parity oracle it replaced, imported from ``tests/oracles/``:
 * max aggregation forward+backward vs. the tie-sharing scatter
   ``aggregate_max`` (the GraphSAGE-pool hot path, where the old backward
   closure kept an ``(nnz, N)`` array alive);
+* max+argmax, the jagged-diagonal fold of ``segment_max_with_argmax``
+  vs. ``untiled_max_with_argmax`` (one ``reduceat`` and the
+  equality-pass ``segment_argmax``) on the hub-heavy power-law graph;
 * full-batch GCN training wall-clock, with the SpMM and normalizer call
   sites rerouted onto the scatter oracles by ``use_scatter_oracles``;
 * the cold full-grid analytic ``count()`` pass, profile-backed counters
@@ -45,7 +48,11 @@ from repro.semiring import MAX_TIMES, PLUS_TIMES
 from repro.sparse.ops import reference_spmm_like
 from tests.oracles import aggregate as aggregate_oracles
 from tests.oracles import use_oracle_counters, use_scatter_oracles
-from tests.oracles.segment import scatter_spmm_like, untiled_spmm_like
+from tests.oracles.segment import (
+    scatter_spmm_like,
+    untiled_max_with_argmax,
+    untiled_spmm_like,
+)
 
 #: Counting benchmark graph: large enough that the O(nnz) array
 #: expansions in the oracle counters dominate count() wall-clock.
@@ -119,6 +126,25 @@ def bench_aggregate_max(
 
     return ab_times(lambda: step(aggregate_oracles.aggregate_max),
                     lambda: step(aggregate_max), reps)
+
+
+def bench_max_argmax(
+    m: int = _RED_M, nnz: int = _RED_NNZ, n: int = 64, reps: int = 5
+) -> Dict[str, Any]:
+    """Max-times forward with its first-maximizer argmax: the fold vs.
+    the untiled ``reduceat`` + equality-pass argmax it replaced."""
+    from repro.sparse.segment import segment_max_with_argmax
+
+    a = _bench_graph(m, nnz)
+    b = np.random.default_rng(1).standard_normal((a.ncols, n)).astype(np.float32)
+    return {
+        "graph": {"kind": "power_law", "m": m, "nnz": int(a.nnz),
+                  "max_row": int(a.row_lengths().max())},
+        "n": n,
+        **ab_times(lambda: untiled_max_with_argmax(a, b),
+                   lambda: segment_max_with_argmax(a, b), reps,
+                   names=("untiled", "fold")),
+    }
 
 
 def bench_gcn_training(
@@ -302,6 +328,7 @@ def run_host_microbench(
         "tiled_spmm": bench_tiled_spmm(reps=reps),
         "tiled_peak": bench_tiled_peak(),
         "aggregate_max": bench_aggregate_max(),
+        "max_argmax": bench_max_argmax(reps=reps),
         "gcn_train": bench_gcn_training(epochs=epochs, reps=train_reps),
         "count_grid": bench_count_grid(),
         "disk_cache": bench_disk_cache_sweep(),

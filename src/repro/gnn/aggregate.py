@@ -140,16 +140,15 @@ def aggregate_max(
     n = x.data.shape[1]
     adj = g.adj
     record(label, forward_cost(adj, n))
-    # One tiled traversal: gather + scale + reduce + argmax per column
-    # tile inside the pooled O(nnz·T) workspace — the full (nnz, N)
-    # contributions array is never materialized, and the (M, N) int32
-    # winner indices are all the backward needs.
+    # One fold over the degree-sorted rows tracks the max and its first
+    # winner inline: the (nnz, N) contributions array is never
+    # materialized, and the (M, N) int32 winner indices are all the
+    # backward needs.
     out, argmax = segment_max_with_argmax(adj, x.data)
     out = out.astype(x.data.dtype, copy=False)
     out_clean = out.copy()
     out_clean[adj.row_lengths() == 0] = 0.0  # DGL convention
 
-    colind = adj.colind64()
     k = x.data.shape[0]
 
     def backward(grad: np.ndarray) -> None:
@@ -158,14 +157,15 @@ def aggregate_max(
             return
         # Winner-takes-all: the whole gradient goes to the first nonzero
         # that attained the maximum.  Empty rows and NaN cells hold -1
-        # (no winner) and are masked out.
-        valid = argmax >= 0
-        idx = argmax[valid]
-        target_cols = np.nonzero(valid)[1]
-        weighted = (grad[valid] * adj.values[idx]).astype(np.float64)
-        flat = colind[idx] * np.int64(n) + target_cols
-        dx = np.bincount(flat, weights=weighted, minlength=k * n)
-        x.accumulate_grad(dx.reshape(k, n).astype(x.data.dtype))
+        # (no winner), which indexes a spare nonzero of weight 0 aimed at
+        # an extra row k of dx; that row's bins are dropped, so no
+        # compaction pass is needed.
+        colind = np.append(adj.colind64(), k)
+        values = np.append(adj.values, adj.values.dtype.type(0))
+        weighted = (grad * values[argmax]).astype(np.float64)
+        flat = colind[argmax] * np.int64(n) + np.arange(n, dtype=np.int64)
+        dx = np.bincount(flat.ravel(), weights=weighted.ravel(), minlength=(k + 1) * n)
+        x.accumulate_grad(dx[: k * n].reshape(k, n).astype(x.data.dtype))
 
     return Tensor(
         out_clean, x.requires_grad, [x], backward if x.requires_grad else None, name=label

@@ -25,7 +25,7 @@ __all__ = ["Tensor", "Parameter", "no_grad_context"]
 class Tensor:
     """A float32 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "__weakref__")
 
     def __init__(
         self,
@@ -74,18 +74,23 @@ class Tensor:
             grad = np.ones_like(self.data)
         self.accumulate_grad(grad)
 
+        # Post-order DFS on an explicit stack: the same order a recursive
+        # visit gives, without a self-referencing closure whose cycle
+        # would keep ``topo`` (every activation of the graph) alive until
+        # the cyclic GC runs.
         topo: List[Tensor] = []
-        seen: Set[int] = set()
-
-        def visit(t: "Tensor") -> None:
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        seen: Set[int] = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)

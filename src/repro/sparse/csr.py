@@ -111,11 +111,12 @@ class CSRMatrix:
     def ncols(self) -> int:
         return self.shape[1]
 
-    def _cached(self, key: str, build: Callable[[], "np.ndarray | str"]):
+    def _cached(self, key: str, build: Callable[[], object]):
         """Lazy derived-artifact cache.  Artifacts are built once (arrays
-        are marked read-only — they are shared across callers) and
-        re-served on every later access; hits/misses surface as
-        ``csr.derived_cache.*``."""
+        are marked read-only — they are shared across callers; composite
+        artifacts such as the max/min fold's ``jagged_order`` freeze
+        their own arrays) and re-served on every later access;
+        hits/misses surface as ``csr.derived_cache.*``."""
         from repro import obs  # late: csr is the substrate everything imports
 
         cache = self._derived
@@ -198,8 +199,9 @@ class CSRMatrix:
     def clear_derived(self) -> int:
         """Drop every lazily built derived artifact in one call: the
         derived arrays (``row_lengths``/``rowptr64``/``coo_rows``/
-        ``colind64``), the content fingerprint, and any cached access
-        profile.  Returns the number of artifacts dropped and bumps the
+        ``colind64``), the content fingerprint, the max/min fold's
+        ``jagged_order``, and any cached access profile.  Returns the
+        number of artifacts dropped and bumps the
         ``csr.derived_cache.cleared`` counter by the same amount.
 
         This is the shard-boundary eviction hook of corpus-scale sweeps

@@ -486,9 +486,11 @@ def invalidate_matrix_caches(
     process-wide kernel-estimate memo, the sweep-cell memo, and — when a
     disk cache is active — the on-disk store.  Entries for every other
     matrix are untouched, so their cells keep replaying at 100% hit rate
-    (the CI streaming-update check asserts exactly this).  Returns the
-    per-store drop counts; each is also counted under
-    ``delta.invalidated`` with a ``store`` label.
+    (the CI streaming-update check asserts exactly this).  Given the
+    matrix itself, its cached max/min traversal order
+    (:func:`repro.sparse.segment.jagged_order`) goes too, as store
+    ``jagged_order``.  Returns the per-store drop counts; each is also
+    counted under ``delta.invalidated`` with a ``store`` label.
     """
     from repro import obs
     from repro.bench.diskcache import get_disk_cache
@@ -505,6 +507,10 @@ def invalidate_matrix_caches(
         "estimate_memo": invalidate_estimates_for(fp),
         "sweep_memo": invalidate_sweep_cells_for(fp),
         "disk": disk.invalidate_matrix(fp) if disk is not None else 0,
+        "jagged_order": int(
+            isinstance(matrix_or_fingerprint, CSRMatrix)
+            and matrix_or_fingerprint._derived.pop("jagged_order", None) is not None
+        ),
     }
     registry = obs.get_registry()
     for store, n in dropped.items():

@@ -2,21 +2,35 @@
 
 Yang et al.'s *Design Principles for Sparse Matrix Multiplication on the
 GPU* frames row-split SpMM as gather + segmented reduce; this module
-brings the same structure to the host executor: contributions are
-gathered once and reduced per CSR row with a single
-``ufunc.reduceat`` call instead of the order-of-magnitude slower
-``ufunc.at`` scatter loop.  Every numeric hot path —
-``reference_spmm_like``, ``CSRMatrix.row_normalized`` /
+brings the same structure to the host executor.  Every numeric hot
+path — ``reference_spmm_like``, ``CSRMatrix.row_normalized`` /
 ``sym_normalized``, and ``gnn.aggregate`` — runs through here.  The
-scatter implementations this engine replaced live on as parity oracles
-in the test tree (``tests/oracles/``) and are enforced by
-``tests/test_segment_engine.py`` and ``tests/test_tiled_engine.py``.
+implementations this engine replaced live on as parity oracles in the
+test tree (``tests/oracles/``) and are enforced by
+``tests/test_segment_engine.py``, ``tests/test_tiled_engine.py`` and
+``tests/test_max_fold.py``.
+
+Sums (plus, mean) gather contributions and reduce them per CSR row with
+one ``ufunc.reduceat`` call.  Max and min run a row-stepped fold over
+the degree-sorted (jagged-diagonal) row order instead
+(:class:`JaggedOrder`): step ``j`` gathers whole rows of the dense
+operand for the ``j``-th nonzero of every row longer than ``j`` — a
+contiguous slab, since those rows are a prefix of the order — and folds
+it into an ``(rows, T)`` accumulator, tracking the first winner inline
+with a strict ``>``.  This is GE-SpMM's Coalesced Row Caching on the
+host: each nonzero's ``(colind, value)`` is read once and shared across
+all output columns, and every access to the dense operand is a whole
+contiguous row.  Hub rows still unfinished when fewer rows remain than
+steps are reduced one block each.
 
 The parity contract (see ``docs/PERFORMANCE.md``):
 
-* ``max`` / ``min`` reductions are **bit-identical** to the scatter
-  oracles on any input — the reduction is order-independent, so
-  ``np.maximum.reduceat`` and ``np.maximum.at`` agree float for float.
+* ``max`` / ``min`` reductions equal the scatter oracles under
+  ``array_equal`` on any input, NaN included: the reduction is
+  order-independent except for the sign of a tie between ``+0`` and
+  ``-0``, which no two implementations agree on (``reduceat`` and
+  ``ufunc.at`` already differ).  The argmax is the first maximizer,
+  exactly.
 * ``plus`` / ``mean`` reductions are bit-identical whenever the
   accumulation is exact (integer-valued float32 operands, which the
   parity suite locks in), and agree to tight ``allclose`` tolerances on
@@ -26,32 +40,29 @@ The parity contract (see ``docs/PERFORMANCE.md``):
   existing kernel/oracle comparisons use ``allclose`` and are
   insensitive to it.
 
-Empty rows never reach ``reduceat`` (whose semantics for empty segments
-are not a reduction): the output is pre-filled with the semiring
-identity and only non-empty rows are overwritten, so identities are
-exact by construction.
+Empty rows are never reduced: the output is pre-filled with the
+semiring identity and only non-empty rows are overwritten, so
+identities are exact by construction.
 
 Column tiling (the host analogue of GE-SpMM's coarse-grained warp
 merging, which reuses each loaded sparse row across feature tiles):
-every SpMM-like call splits the dense operand into column tiles of
-width ``T`` and gathers + combines + reduces each tile inside a
-preallocated ``(nnz, T)`` workspace drawn from a per-process pool, so
-peak transient memory is O(nnz·T) instead of O(nnz·N) and the working
-set stays cache-resident on wide operands.  ``T`` comes from a fixed
-LLC-size heuristic (:func:`tile_width_for`).  Tiling columns never
+both paths split the dense operand into column tiles and work inside
+preallocated buffers drawn from a per-process pool, so peak transient
+memory is O(nnz·T) for sums (:func:`tile_width_for`) and O(rows·T) for
+the fold (:func:`fold_tile_width`) instead of O(nnz·N), and the working
+set stays cache-resident on wide operands.  Tiling columns never
 reorders a row's reduction, so the result is **bit-identical** to one
-full-width ``reduceat`` for every reduction (the parity suite asserts
-exact equality against the untiled oracle across tile widths).
-``segment_spmm_like_multi`` runs K same-graph operands through one
-traversal sharing the pooled workspace and cached gather indices — the
-feature-width-batching primitive the serving layer coalesces concurrent
-requests onto.
+full-width pass (the parity suite asserts exact equality against the
+untiled oracle across tile widths).  ``segment_spmm_like_multi`` runs K
+same-graph operands through one traversal sharing the pooled buffers
+and cached gather indices — the feature-width-batching primitive the
+serving layer coalesces concurrent requests onto.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +75,6 @@ __all__ = [
     "segment_spmm_like",
     "segment_spmm_like_multi",
     "segment_max_with_argmax",
-    "segment_argmax",
     "reduce_ufunc",
     "tile_width_for",
     "clear_workspace_pool",
@@ -84,9 +94,8 @@ _WORKSPACE_BUDGET = _LLC_BYTES // 4
 def tile_width_for(nnz: int, n: int) -> int:
     """Tile width for an ``(nnz, n)`` contributions matrix.
 
-    The largest multiple of 8 (keeping the argmax uint64 row-prefilter
-    applicable) whose ``(nnz, T)`` float32 workspace fits the LLC
-    budget, floored at 8 and capped at ``n``.
+    The largest multiple of 8 whose ``(nnz, T)`` float32 workspace fits
+    the LLC budget, floored at 8 and capped at ``n``.
     """
     if nnz <= 0 or n <= 0:
         return max(n, 1)
@@ -99,11 +108,12 @@ def tile_width_for(nnz: int, n: int) -> int:
 class _WorkspacePool:
     """Per-process pool of flat float32 scratch buffers.
 
-    The tiled executor draws its ``(nnz, T)`` gather workspace and
-    ``(K, T)`` operand-tile buffer from here, so steady-state SpMM calls
-    allocate nothing: ``segment.workspace.reuses`` counts pool hits,
-    ``.allocs`` fresh buffers, and the ``segment.workspace.bytes_peak``
-    gauge tracks the high-water mark of pool-owned bytes.  Thread-safe
+    The tiled executor draws its ``(nnz, T)`` gather workspace, the
+    max/min fold's state and the ``(K, T)`` operand-tile buffer from
+    here, so steady-state SpMM calls allocate nothing:
+    ``segment.workspace.reuses`` counts pool hits, ``.allocs`` fresh
+    buffers, and the ``segment.workspace.bytes_peak`` gauge tracks the
+    high-water mark of pool-owned bytes.  Thread-safe
     (sweep workers share the process pool); the free list is capped so
     a one-off giant operand cannot pin memory forever.
     """
@@ -270,7 +280,7 @@ def _nonempty_starts(a: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
 def _gathered_tiles(
     a: CSRMatrix, bs: Sequence[np.ndarray], semiring: Semiring, ufunc: np.ufunc
 ) -> Iterator[Tuple[int, slice, np.ndarray]]:
-    """The one tile loop: yield ``(k, cols, contributions)`` for every
+    """The sums' tile loop: yield ``(k, cols, contributions)`` for every
     column tile ``cols`` of every operand ``bs[k]``.
 
     The pooled ``(nnz, T)`` workspace (and, when an operand is wider
@@ -325,14 +335,218 @@ def _spmm_like_into(
     ufunc: np.ufunc,
     outs: List[np.ndarray],
 ) -> List[np.ndarray]:
-    """Reduce every tile of every operand into its pre-filled output,
-    then apply the semiring's finalize."""
-    nonempty, ne_starts = _nonempty_starts(a)
-    for k, cols, contributions in _gathered_tiles(a, bs, semiring, ufunc):
-        outs[k][nonempty, cols] = ufunc.reduceat(contributions, ne_starts, axis=0)
+    """Reduce every operand into its pre-filled output — ``reduceat``
+    over the gathered tiles for sums, the jagged-diagonal fold for
+    max/min — then apply the semiring's finalize."""
+    if ufunc is np.add:
+        nonempty, ne_starts = _nonempty_starts(a)
+        for k, cols, contributions in _gathered_tiles(a, bs, semiring, ufunc):
+            outs[k][nonempty, cols] = ufunc.reduceat(contributions, ne_starts, axis=0)
+    else:
+        _fold(a, bs, semiring, ufunc, outs)
     for out in outs:
         semiring.finalize_into(out, a.row_lengths())
     return outs
+
+
+# ----------------------------------------------------------------------
+# Max/min: a row-stepped fold over the jagged-diagonal order
+# ----------------------------------------------------------------------
+
+
+class JaggedOrder(NamedTuple):
+    """Degree-sorted (jagged-diagonal) traversal order of a CSR matrix.
+
+    ``perm`` lists the non-empty rows by descending length (stable, so
+    equal-length rows keep CSR order).  ``cnt[j]`` is the number of rows
+    longer than ``j``: they are the prefix ``perm[:cnt[j]]``, so step
+    ``j`` of the fold works on a contiguous slab.  For ``j < switch``,
+    ``col[ptr[j]:ptr[j+1]]`` / ``val[...]`` hold the column index (int64,
+    ready for ``np.take``) and value of the ``j``-th nonzero of each of
+    those rows.  From step ``switch`` on, the ``cnt[switch]`` rows still
+    unfinished are reduced one row at a time instead.  ``switch =
+    argmin_j(j + cnt[j])`` minimizes the number of slab steps plus
+    per-row tails, so a hub row of a skewed graph costs one block
+    reduction rather than one step per element.
+    """
+
+    perm: np.ndarray
+    cnt: np.ndarray
+    ptr: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    switch: int
+
+
+def _build_jagged_order(a: CSRMatrix) -> JaggedOrder:
+    lengths = a.row_lengths()
+    rows = int(np.count_nonzero(lengths))
+    perm = np.argsort(-lengths, kind="stable")[:rows]
+    # rows longer than j = all rows - rows of length <= j
+    cnt = a.nrows - np.cumsum(np.bincount(lengths, minlength=1))[:-1]
+    switch = int(np.argmin(np.arange(cnt.size + 1) + np.append(cnt, 0)))
+    ptr = np.zeros(switch + 1, dtype=np.int64)
+    np.cumsum(cnt[:switch], out=ptr[1:])
+    starts = a.rowptr64()[perm]
+    pos = np.empty(int(ptr[-1]), dtype=np.int64)
+    for j, (lo, hi) in enumerate(zip(ptr[:-1].tolist(), ptr[1:].tolist())):
+        np.add(starts[: hi - lo], j, out=pos[lo:hi])
+    order = JaggedOrder(perm, cnt, ptr, a.colind64()[pos], a.values[pos], switch)
+    for arr in order[:-1]:
+        arr.setflags(write=False)
+    return order
+
+
+def jagged_order(a: CSRMatrix) -> JaggedOrder:
+    """The cached :class:`JaggedOrder` of ``a`` (a read-only derived
+    artifact: :meth:`CSRMatrix.clear_derived` drops it)."""
+    return a._cached("jagged_order", lambda: _build_jagged_order(a))
+
+
+#: Bytes per (row, column) cell of the fold's state: the float32
+#: accumulator, the int32 argmax, the float32 step slab and the bool
+#: update mask.
+_FOLD_CELL_BYTES = 13
+#: Narrowest column tile of the fold: every tile pays the per-step
+#: Python overhead again, which narrow tiles cannot amortize.
+_FOLD_MIN_TILE = 64
+
+
+def fold_tile_width(rows: int, n: int) -> int:
+    """Column tile width for a fold over ``rows`` non-empty rows: the
+    full width while the fold state fits the workspace budget, else the
+    widest tile that does, floored at 64 and capped at ``n``."""
+    if _FOLD_CELL_BYTES * rows * n <= _WORKSPACE_BUDGET:
+        return max(n, 1)
+    return min(n, max(_FOLD_MIN_TILE, _WORKSPACE_BUDGET // (_FOLD_CELL_BYTES * rows)))
+
+
+def _fold(
+    a: CSRMatrix,
+    bs: Sequence[np.ndarray],
+    semiring: Semiring,
+    ufunc: np.ufunc,
+    outs: List[np.ndarray],
+    argmaxes: Optional[List[np.ndarray]] = None,
+) -> None:
+    """Max/min-reduce every operand into its pre-filled output (and,
+    with ``argmaxes``, record each cell's first winning nonzero).
+
+    Per column tile, step ``j`` of :class:`JaggedOrder` gathers whole
+    rows of B for the ``j``-th nonzero of every row longer than ``j``
+    into a contiguous ``(cnt[j], T)`` slab, scales it, and folds it into
+    the accumulator; a strict ``>`` (``<`` for min) keeps the first
+    winner, PyTorch ``scatter_max`` semantics.  Rows still unfinished at
+    the switch step are reduced one ``(len, T)`` block each (split into
+    chunks that fit the workspace budget) and merged the same way.  Rows
+    are scattered back through ``perm`` at the end; NaN cells get argmax
+    ``-1``.  One pooled buffer holds the fold state for all operands,
+    and a second the operand tile when B is wider than one tile.
+    """
+    jo = jagged_order(a)
+    rows = jo.perm.size
+    n_max = max((b.shape[1] for b in bs), default=0)
+    if not (rows and n_max):
+        return
+    switch = jo.switch
+    tail_rows = int(jo.cnt[switch]) if switch < jo.cnt.size else 0
+    want_arg = argmaxes is not None
+    tile_max = fold_tile_width(rows, n_max)
+    # Tails are reduced in chunks whose (len, T) block fits the budget.
+    chunk = max(1, _WORKSPACE_BUDGET // (4 * tile_max))
+    rowptr, colind, vals = a.rowptr64(), a.colind64(), a.values[:, None]
+    row_lo = rowptr[jo.perm]
+    row_hi = rowptr[jo.perm[:tail_rows] + 1]
+    # One (row, lo, hi, in-row rank of lo) entry per tail chunk; rank 0
+    # opens its row (switch 0), so that chunk assigns instead of merging.
+    tails = [
+        (r, t0, min(t0 + chunk, hi), t0 - lo)
+        for r, (lo, hi) in enumerate(zip(row_lo[:tail_rows].tolist(), row_hi.tolist()))
+        for t0 in range(lo + switch, hi, chunk)
+    ]
+    slab_rows = max(
+        int(jo.cnt[1]) if switch > 1 else 0,
+        max((t1 - t0 for _, t0, t1, _ in tails), default=0),
+    )
+    # acc (float32) and am (int32) per row, the step slab, the bool mask.
+    state = tile_max * ((2 * rows if want_arg else rows) + slab_rows)
+    buf = _POOL.acquire(state + (-(-rows * tile_max // 4) if want_arg else 0))
+    bt = _POOL.acquire(a.ncols * tile_max) if tile_max < n_max else None
+    better = np.greater if ufunc is np.maximum else np.less
+    pick = np.argmax if ufunc is np.maximum else np.argmin
+    cnt, ptr = jo.cnt[:switch].tolist(), jo.ptr.tolist()
+    step_col, step_val = jo.col, jo.val[:, None]
+    starts = row_lo.astype(np.int32)[:, None]
+    reg = obs.get_registry()
+    try:
+        for k, b in enumerate(bs):
+            n = b.shape[1]
+            if not n:
+                continue
+            reg.counter("segment.reduce_calls", op=ufunc.__name__).inc()
+            tile = min(tile_max, n)
+            for lo in range(0, n, tile):
+                w = min(tile, n - lo)
+                if tile < n:
+                    src = bt[: a.ncols * w].reshape(a.ncols, w)
+                    np.copyto(src, b[:, lo : lo + w])
+                else:
+                    src = b
+                acc = buf[: rows * w].reshape(rows, w)
+                slab = buf[rows * w : (rows + slab_rows) * w].reshape(slab_rows, w)
+                if want_arg:
+                    off = (rows + slab_rows) * w
+                    am = buf[off : off + rows * w].view(np.int32).reshape(rows, w)
+                    upd = buf[off + rows * w :].view(np.bool_)[: rows * w].reshape(rows, w)
+                for j, c in enumerate(cnt):
+                    s = slice(ptr[j], ptr[j + 1])
+                    g = acc if j == 0 else slab[:c]
+                    # mode="clip" keeps np.take unbuffered (indices are
+                    # validated at construction, so clipping never fires).
+                    np.take(src, step_col[s], axis=0, out=g, mode="clip")
+                    semiring.combine_into(step_val[s], g, g)
+                    if j == 0:
+                        if want_arg:
+                            am.fill(0)
+                        continue
+                    head = acc[:c]
+                    if want_arg:
+                        better(g, head, out=upd[:c])
+                    ufunc(head, g, out=head)
+                    if want_arg:
+                        # am holds in-row ranks, which only grow step by
+                        # step: max(am, j * upd) is a branch-free masked
+                        # store (np.copyto(where=) branches per cell).
+                        ranks = g.view(np.int32)
+                        np.multiply(upd[:c], np.int32(j), out=ranks)
+                        np.maximum(am[:c], ranks, out=am[:c])
+                for r, t0, t1, rank in tails:
+                    blk = slab[: t1 - t0]
+                    np.take(src, colind[t0:t1], axis=0, out=blk, mode="clip")
+                    semiring.combine_into(vals[t0:t1], blk, blk)
+                    red = ufunc.reduce(blk, axis=0)
+                    if rank == 0:
+                        acc[r] = red
+                        if want_arg:
+                            am[r] = pick(blk, axis=0)
+                        continue
+                    if want_arg:
+                        np.copyto(am[r], pick(blk, axis=0) + rank, where=better(red, acc[r]))
+                    ufunc(acc[r], red, out=acc[r])
+                cols = slice(lo, lo + w)
+                outs[k][jo.perm, cols] = acc
+                if want_arg:
+                    am += starts
+                    np.isnan(acc, out=upd)
+                    np.copyto(am, -1, where=upd)
+                    argmaxes[k][jo.perm, cols] = am
+                reg.counter("segment.tiles", op=ufunc.__name__).inc()
+                if tail_rows:
+                    reg.counter("segment.fold.tail_rows", op=ufunc.__name__).inc(tail_rows)
+    finally:
+        if bt is not None:
+            _POOL.release(bt)
+        _POOL.release(buf)
 
 
 def segment_spmm_like(
@@ -341,7 +555,8 @@ def segment_spmm_like(
     semiring: Semiring,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """SpMM-like execution as gather + segmented reduce.
+    """SpMM-like execution: gather + segmented reduce for sums, the
+    jagged-diagonal fold for max/min.
 
     Runs the column-tiled, workspace-pooled executor: peak transient
     memory O(nnz·T), bit-identical to one full-width reduction.
@@ -389,105 +604,25 @@ def segment_spmm_like_multi(
     return _spmm_like_into(a, bs, semiring, ufunc, results)
 
 
-def segment_argmax(
-    a: CSRMatrix,
-    contributions: np.ndarray,
-    row_max: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Index of the first maximizing nonzero per output cell.
-
-    Returns ``int32[M, N]`` of absolute positions into
-    ``a.values``/``a.colind``; empty rows hold ``-1``.  Ties resolve to
-    the lowest nonzero index (PyTorch ``scatter_max`` semantics).  Cells
-    whose maximum is NaN also hold ``-1`` (NaN compares unequal to
-    itself, so nothing ever matches) — the same no-gradient outcome the
-    scatter oracle's ``contributions == out`` mask produces.  Consumers
-    mask with ``argmax >= 0``.
-
-    Implementation: one equality pass against the broadcast row maxima,
-    then the *sparse* hit set (≈ one hit per output cell) is collapsed
-    to first-per-cell with ``np.unique`` — an order of magnitude cheaper
-    than a second dense ``(nnz, N)`` reduction, since ``np.nonzero``
-    returns hits in ascending nonzero order and ``unique``'s first
-    occurrence is therefore the lowest index.
-
-    This is what lets ``aggregate_max`` keep an ``(M, N)`` int32 in its
-    backward closure instead of the full ``(nnz, N)`` contributions.
-    """
-    m = a.nrows
-    n = contributions.shape[1] if contributions.ndim == 2 else 1
-    contributions = contributions.reshape(a.nnz, n)
-    if row_max is None:
-        row_max = segment_reduce(contributions, a.rowptr, np.maximum, -np.inf)
-    argmax = np.full((m, n), -1, dtype=np.int32)
-    if a.nnz == 0 or m == 0:
-        return argmax
-    rows = a.coo_rows()
-    hits = contributions == row_max.reshape(m, n)[rows]
-    hit_pos, hit_col = _sparse_nonzero(hits)
-    cell = rows[hit_pos] * np.int64(n) + hit_col
-    first_cell, first_idx = np.unique(cell, return_index=True)
-    argmax.ravel()[first_cell] = hit_pos[first_idx].astype(np.int32)
-    return argmax
-
-
-def _sparse_nonzero(hits: np.ndarray):
-    """``np.nonzero`` for a boolean matrix with ~one True per *row
-    segment* (the argmax hit mask): prefilter rows by viewing each
-    8-byte run of bools as one uint64, so the full-width scan only
-    touches the ≈``M/nnz`` fraction of rows that contain a hit.
-    Widths that are not a multiple of 8 (or non-contiguous masks) are
-    zero-padded into an 8-aligned copy first — an O(rows·n) byte copy,
-    still far cheaper than the full ``np.nonzero`` scan — so common
-    widths like 100 keep the prefilter.  Only degenerate inputs fall
-    back to plain ``np.nonzero``, counted as
-    ``segment.sparse_nonzero.fallbacks``.  Row-major result order
-    (ascending row index) is preserved — the first-occurrence semantics
-    of the caller's ``np.unique`` depend on it."""
-    if hits.ndim != 2 or hits.dtype != np.bool_ or 0 in hits.shape:
-        obs.get_registry().counter("segment.sparse_nonzero.fallbacks").inc()
-        return np.nonzero(hits)
-    n = hits.shape[1]
-    if not hits.flags.c_contiguous or n % 8 != 0:
-        obs.get_registry().counter("segment.sparse_nonzero.pads").inc()
-        aligned = np.zeros((hits.shape[0], -(-n // 8) * 8), dtype=np.bool_)
-        aligned[:, :n] = hits
-    else:
-        aligned = hits
-    words = aligned.view(np.uint64)
-    if words.shape[1] == 1:
-        row_any = words.ravel() != 0
-    else:
-        row_any = np.bitwise_or.reduce(words, axis=1) != 0
-    cand = np.flatnonzero(row_any)
-    # Scan the original-width mask so padded columns can never leak.
-    sub_pos, sub_col = np.nonzero(hits[cand])
-    return cand[sub_pos], sub_col
-
-
 def segment_max_with_argmax(
     a: CSRMatrix, b: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Max-times forward and its argmax in one tiled traversal.
+    """Max-times forward and its argmax in one fold.
 
-    The ``aggregate_max`` hot path: per column tile, gather + scale the
-    contributions inside the pooled workspace, ``maximum.reduceat`` them
-    into the output slice, and resolve that tile's first-maximizer
-    indices while the workspace is still hot — so the full ``(nnz, N)``
-    contributions array is never materialized.  Returns
-    ``(out, argmax)`` where ``out`` is the raw max-times output (empty
-    rows hold ``-inf``) and ``argmax`` the int32 winner positions of
-    :func:`segment_argmax`.  Bit-identical to the untiled two-pass
-    computation: tiles never split a row's reduction, and the argmax is
-    resolved per column independently.
+    The ``aggregate_max`` hot path.  Returns ``(out, argmax)``: ``out``
+    is the raw max-times output (empty rows hold ``-inf``) and
+    ``argmax`` the ``int32[M, N]`` absolute position (into
+    ``a.values``/``a.colind``) of the first nonzero attaining each
+    cell's maximum — PyTorch ``scatter_max`` semantics.  Empty rows and
+    cells whose maximum is NaN hold ``-1``; consumers mask with
+    ``argmax >= 0``.  The argmax is tracked inline by the fold's strict
+    ``>`` update, so neither the ``(nnz, N)`` contributions nor a hit
+    mask is ever materialized, and ``aggregate_max`` keeps only the
+    ``(M, N)`` int32 in its backward closure.
     """
     b = _check_dense(a, b)
     m, n = a.nrows, b.shape[1]
     out = np.full((m, n), -np.inf, dtype=VALUE_DTYPE)
     argmax = np.full((m, n), -1, dtype=np.int32)
-    nonempty, ne_starts = _nonempty_starts(a)
-    for _, cols, contributions in _gathered_tiles(a, [b], MAX_TIMES, np.maximum):
-        out_tile = out[:, cols]
-        out_tile[nonempty] = np.maximum.reduceat(contributions, ne_starts, axis=0)
-        argmax[:, cols] = segment_argmax(a, contributions, row_max=out_tile)
+    _fold(a, [b], MAX_TIMES, np.maximum, [out], [argmax])
     return out, argmax

@@ -11,7 +11,9 @@ against the same bodies as before:
   ``segment_reduce``), ``scatter_spmm_like`` (for ``segment_spmm_like``
   and ``reference_spmm_like``), ``untiled_spmm_like`` and
   ``untiled_max_with_argmax`` (the single-tile bodies the column-tiled
-  executor must match bit for bit) and ``loop_to_dense`` (for
+  executor must match), ``segment_argmax`` / ``_sparse_nonzero`` (the
+  equality-pass argmax, reference for the max/min fold's inline
+  first-maximizer argmax) and ``loop_to_dense`` (for
   ``CSRMatrix.to_dense``'s accumulating fallback);
 * :mod:`.aggregate` — ``max_forward`` / ``scatter_aggregate_max``, the
   tie-sharing scatter path that ``aggregate_max``'s argmax backward

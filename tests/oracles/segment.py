@@ -7,9 +7,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro import obs
 from repro.semiring import Semiring
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
-from repro.sparse.segment import _check_dense, segment_argmax, segment_reduce
+from repro.sparse.segment import _check_dense, segment_reduce
 
 
 def scatter_segment_reduce(
@@ -106,3 +107,79 @@ def untiled_max_with_argmax(a: CSRMatrix, b: np.ndarray):
     contributions = a.values[:, None] * b[a.colind64()]
     segment_reduce(contributions, a.rowptr, np.maximum, -np.inf, out=out)
     return out, segment_argmax(a, contributions, row_max=out)
+
+
+def segment_argmax(
+    a: CSRMatrix,
+    contributions: np.ndarray,
+    row_max: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Index of the first maximizing nonzero per output cell.
+
+    Returns ``int32[M, N]`` of absolute positions into
+    ``a.values``/``a.colind``; empty rows hold ``-1``.  Ties resolve to
+    the lowest nonzero index (PyTorch ``scatter_max`` semantics).  Cells
+    whose maximum is NaN also hold ``-1`` (NaN compares unequal to
+    itself, so nothing ever matches) — the same no-gradient outcome the
+    scatter oracle's ``contributions == out`` mask produces.  Consumers
+    mask with ``argmax >= 0``.
+
+    Implementation: one equality pass against the broadcast row maxima,
+    then the *sparse* hit set (≈ one hit per output cell) is collapsed
+    to first-per-cell with ``np.unique`` — an order of magnitude cheaper
+    than a second dense ``(nnz, N)`` reduction, since ``np.nonzero``
+    returns hits in ascending nonzero order and ``unique``'s first
+    occurrence is therefore the lowest index.
+
+    This is what lets ``aggregate_max`` keep an ``(M, N)`` int32 in its
+    backward closure instead of the full ``(nnz, N)`` contributions.
+    """
+    m = a.nrows
+    n = contributions.shape[1] if contributions.ndim == 2 else 1
+    contributions = contributions.reshape(a.nnz, n)
+    if row_max is None:
+        row_max = segment_reduce(contributions, a.rowptr, np.maximum, -np.inf)
+    argmax = np.full((m, n), -1, dtype=np.int32)
+    if a.nnz == 0 or m == 0:
+        return argmax
+    rows = a.coo_rows()
+    hits = contributions == row_max.reshape(m, n)[rows]
+    hit_pos, hit_col = _sparse_nonzero(hits)
+    cell = rows[hit_pos] * np.int64(n) + hit_col
+    first_cell, first_idx = np.unique(cell, return_index=True)
+    argmax.ravel()[first_cell] = hit_pos[first_idx].astype(np.int32)
+    return argmax
+
+
+def _sparse_nonzero(hits: np.ndarray):
+    """``np.nonzero`` for a boolean matrix with ~one True per *row
+    segment* (the argmax hit mask): prefilter rows by viewing each
+    8-byte run of bools as one uint64, so the full-width scan only
+    touches the ≈``M/nnz`` fraction of rows that contain a hit.
+    Widths that are not a multiple of 8 (or non-contiguous masks) are
+    zero-padded into an 8-aligned copy first — an O(rows·n) byte copy,
+    still far cheaper than the full ``np.nonzero`` scan — so common
+    widths like 100 keep the prefilter.  Only degenerate inputs fall
+    back to plain ``np.nonzero``, counted as
+    ``segment.sparse_nonzero.fallbacks``.  Row-major result order
+    (ascending row index) is preserved — the first-occurrence semantics
+    of the caller's ``np.unique`` depend on it."""
+    if hits.ndim != 2 or hits.dtype != np.bool_ or 0 in hits.shape:
+        obs.get_registry().counter("segment.sparse_nonzero.fallbacks").inc()
+        return np.nonzero(hits)
+    n = hits.shape[1]
+    if not hits.flags.c_contiguous or n % 8 != 0:
+        obs.get_registry().counter("segment.sparse_nonzero.pads").inc()
+        aligned = np.zeros((hits.shape[0], -(-n // 8) * 8), dtype=np.bool_)
+        aligned[:, :n] = hits
+    else:
+        aligned = hits
+    words = aligned.view(np.uint64)
+    if words.shape[1] == 1:
+        row_any = words.ravel() != 0
+    else:
+        row_any = np.bitwise_or.reduce(words, axis=1) != 0
+    cand = np.flatnonzero(row_any)
+    # Scan the original-width mask so padded columns can never leak.
+    sub_pos, sub_col = np.nonzero(hits[cand])
+    return cand[sub_pos], sub_col

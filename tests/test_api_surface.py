@@ -57,6 +57,19 @@ class TestPackageExports:
                 ]
         assert not offenders, offenders
 
+    def test_replaced_argmax_lives_only_in_the_test_tree(self):
+        # The equality-pass argmax is the fold's reference oracle now,
+        # not a production path.
+        from repro.sparse import segment
+
+        for name in ("segment_argmax", "_sparse_nonzero"):
+            assert not hasattr(repro.sparse, name), name
+            assert not hasattr(segment, name), name
+            assert name not in repro.sparse.__all__
+        from tests.oracles import segment as oracles
+
+        assert callable(oracles.segment_argmax) and callable(oracles._sparse_nonzero)
+
 
 class TestDevicePresets:
     def test_known_gpus(self):

@@ -1,5 +1,8 @@
 """Autograd engine tests: numerical gradient checks for every operator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,25 @@ class TestTensorBasics:
         loss = F.nll_loss(F.log_softmax(total, device), np.array([0]), device)
         loss.backward()
         assert x.grad is not None and np.isfinite(x.grad).all()
+
+    def test_backward_frees_graph_without_cyclic_gc(self, device):
+        # The graph must be freed by refcount alone once the loss goes:
+        # a reference cycle built during backward() would keep every
+        # activation alive until the cyclic GC happens to run.
+        x = Tensor(np.array([[1.0, -1.0], [0.5, 2.0]]), requires_grad=True)
+        gc.disable()
+        try:
+            h = F.relu(F.matmul(x, Tensor(np.eye(2)), device), device)
+            loss = F.nll_loss(F.log_softmax(h, device), np.array([0, 1]), device)
+            ref = weakref.ref(h)
+            del h
+            loss.backward()
+            assert ref() is not None  # still reachable through the loss
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None
 
 
 class TestOperatorGradients:

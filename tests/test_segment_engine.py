@@ -27,7 +27,6 @@ from repro.sparse import (
     CSRMatrix,
     csr_from_coo,
     power_law,
-    segment_argmax,
     segment_reduce,
     segment_spmm_like,
     uniform_random,
@@ -36,7 +35,12 @@ from repro.sparse.ops import reference_spmm_like
 from repro.sparse.segment import reduce_ufunc
 from tests.oracles import aggregate as aggregate_oracles
 from tests.oracles import use_scatter_oracles
-from tests.oracles.segment import loop_to_dense, scatter_segment_reduce, scatter_spmm_like
+from tests.oracles.segment import (
+    loop_to_dense,
+    scatter_segment_reduce,
+    scatter_spmm_like,
+    segment_argmax,
+)
 from tests.strategies import SEMIRINGS, csr_matrices, degenerate_csr, dense_operand
 
 BITWISE_ALWAYS = {"max", "min"}

@@ -8,11 +8,12 @@ reduction (add / maximum / minimum, plus mean's finalize), and every
 edge shape (empty rows, empty matrices, zero-width operands) — tiles
 never split a row's reduction, so even float32 addition associates
 identically.  Tile widths are forced by patching the module's
-``tile_width_for`` (:func:`forced_tile`).  Also covers the workspace pool (reuse/alloc counters,
-free-list cap, clearing), the multi-operand batching primitive (byte
-parity with per-operand calls, one gather's worth of allocations), the
-``_sparse_nonzero`` pad path that keeps non-multiple-of-8 widths on the
-uint64 prefilter, and the fused ``segment_max_with_argmax`` traversal
+``tile_width_for`` and ``fold_tile_width`` (:func:`forced_tile`).
+Also covers the workspace pool (reuse/alloc counters, free-list cap,
+clearing), the multi-operand batching primitive (byte parity with
+per-operand calls, one gather's worth of allocations), the pad path of
+the ``_sparse_nonzero`` oracle that keeps non-multiple-of-8 widths on
+the uint64 prefilter, and the fused ``segment_max_with_argmax`` fold
 ``aggregate_max`` runs on.
 """
 
@@ -32,7 +33,6 @@ from repro.sparse import (
     csr_from_coo,
     power_law,
     segment,
-    segment_argmax,
     segment_max_with_argmax,
     segment_spmm_like,
     segment_spmm_like_multi,
@@ -41,19 +41,27 @@ from repro.sparse import (
     workspace_stats,
 )
 from repro.sparse.ops import reference_spmm_like_multi
-from repro.sparse.segment import _POOL, _sparse_nonzero, reduce_ufunc
+from repro.sparse.segment import _POOL, reduce_ufunc
 from tests.oracles import use_scatter_oracles
-from tests.oracles.segment import untiled_max_with_argmax, untiled_spmm_like
+from tests.oracles.segment import (
+    _sparse_nonzero,
+    segment_argmax,
+    untiled_max_with_argmax,
+    untiled_spmm_like,
+)
 from tests.strategies import SEMIRINGS, csr_matrices, dense_operand
 
 
 @contextmanager
 def forced_tile(tile):
     """Pin the executor's tile width for a scope (None keeps the
-    heuristic); the tile loop looks ``tile_width_for`` up per call."""
+    heuristic); the sum tile loop and the max/min fold look
+    ``tile_width_for`` / ``fold_tile_width`` up per call."""
     with pytest.MonkeyPatch.context() as mp:
         if tile is not None:
-            mp.setattr(segment, "tile_width_for", lambda nnz, n: max(1, min(tile, n)))
+            pinned = lambda rows, n: max(1, min(tile, n))
+            mp.setattr(segment, "tile_width_for", pinned)
+            mp.setattr(segment, "fold_tile_width", pinned)
         yield
 
 
