@@ -71,7 +71,7 @@ MAX_CORPUS_PEAK_RATIO = 2.0
 #: ~3-4x on the 400k-edge power-law graph; generous margin for noise).
 MIN_TILED_WIDE_SPEEDUP = 1.5
 #: Tiled transient peak at N=1024 vs. N=64 must stay flat (typical
-#: ~1.0x: the workspace is O(nnz*T) regardless of N; the untiled ratio
+#: ~1.0x: the workspace is O(rows*T) regardless of N; the untiled ratio
 #: is ~16x on the same graph).
 MAX_TILED_PEAK_RATIO = 2.0
 
@@ -144,7 +144,7 @@ def test_host_executor_microbench(benchmark, emit):
     assert tp["tiled"]["peak_ratio"] <= MAX_TILED_PEAK_RATIO, (
         f"tiled SpMM transient peak grew {tp['tiled']['peak_ratio']:.2f}x "
         f"from N={tp['narrow_n']} to N={tp['wide_n']} (cap "
-        f"{MAX_TILED_PEAK_RATIO}x) — the workspace is no longer O(nnz*T)"
+        f"{MAX_TILED_PEAK_RATIO}x) — the workspace is no longer O(rows*T)"
     )
     # The raw reduction swaps must at least not regress.
     assert results["spmm_plus"]["speedup"] >= 0.9

@@ -3,7 +3,7 @@
 Not a paper table: this measures the reproduction's tiled host executor
 (``repro.sparse.segment``) — the host analogue of GE-SpMM's
 Coarse-grained Warp Merging, where each loaded sparse row is reused
-across feature tiles so the transient footprint is O(nnz*T) instead of
+across feature tiles so the transient footprint is O(rows*T) instead of
 O(nnz*N).
 
 Both measurements run in a **fresh subprocess with glibc's malloc
@@ -113,7 +113,7 @@ def test_tiled_memory_and_throughput_floors(benchmark, emit):
     assert peak <= MAX_TILED_PEAK_RATIO, (
         f"tiled SpMM transient peak grew {peak:.2f}x from "
         f"N={r['peak']['narrow_n']} to N={r['peak']['wide_n']} (cap "
-        f"{MAX_TILED_PEAK_RATIO}x) — the workspace is no longer O(nnz*T)"
+        f"{MAX_TILED_PEAK_RATIO}x) — the workspace is no longer O(rows*T)"
     )
     # The untiled contrast must actually show the problem being solved:
     # if it is also flat, the measurement stopped measuring anything.

@@ -4,7 +4,7 @@ Each measurement pairs the host executor's production path with the
 parity oracle it replaced, imported from ``tests/oracles/``:
 
 * plus-/max-semiring ``reference_spmm_like`` vs. ``scatter_spmm_like``
-  (``np.add.at`` scatter vs. ``np.add.reduceat``);
+  (the scatter oracle vs. the jagged-diagonal fold);
 * max aggregation forward+backward vs. the tie-sharing scatter
   ``aggregate_max`` (the GraphSAGE-pool hot path, where the old backward
   closure kept an ``(nnz, N)`` array alive);
@@ -64,7 +64,7 @@ _GRID_M, _GRID_NNZ = 8_000, 300_000
 #: it across feature tiles).
 _TILED_M, _TILED_NNZ, _TILED_N = 10_000, 400_000, 256
 #: Peak-memory benchmark graph + widths: the tiled executor's transient
-#: footprint is O(nnz*T) regardless of N, so the wide/narrow peak ratio
+#: footprint is O(rows*T) regardless of N, so the wide/narrow peak ratio
 #: must stay near 1 where the untiled path's grows like wide/narrow.
 _PEAK_M, _PEAK_NNZ = 10_000, 100_000
 _PEAK_NARROW, _PEAK_WIDE = 64, 1024
@@ -219,7 +219,7 @@ def bench_tiled_spmm(
 ) -> Dict[str, Any]:
     """Column-tiled ``reference_spmm_like`` vs. the untiled engine body
     (one O(nnz*N) contributions temporary) at wide N."""
-    from repro.sparse.segment import tile_width_for
+    from repro.sparse.segment import fold_tile_width
 
     a = _bench_graph(m, nnz, seed=5)
     b = np.random.default_rng(1).standard_normal((a.ncols, n)).astype(np.float32)
@@ -231,7 +231,7 @@ def bench_tiled_spmm(
     return {
         "graph": {"kind": "power_law", "m": m, "nnz": int(a.nnz)},
         "n": n,
-        "tile_width": tile_width_for(a.nnz, n),
+        "tile_width": fold_tile_width(int(np.count_nonzero(a.row_lengths())), n),
         **ab_times(untiled, lambda: reference_spmm_like(a, b, PLUS_TIMES), reps,
                    names=("untiled", "tiled")),
     }
@@ -249,7 +249,7 @@ def bench_tiled_peak(
     output are preallocated outside the traced window (the serving-layer
     steady state ``segment_spmm_like``'s ``out=`` exists for), and the
     workspace pool is cleared before each measurement so every width pays
-    its own workspace allocation.  Tiled peaks are O(nnz*T) — flat in N —
+    its own workspace allocation.  Tiled peaks are O(rows*T) — flat in N —
     so ``tiled.peak_ratio`` stays near 1 while ``untiled.peak_ratio``
     tracks ``wide / narrow`` (~16x at the defaults).
     """

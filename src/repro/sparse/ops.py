@@ -46,7 +46,7 @@ def reference_spmm_like(
     semiring's identity for empty rows.  Executes through the
     segmented-reduction engine (:mod:`repro.sparse.segment`) for the
     builtin reductions; user-defined reductions, which have no
-    ``reduceat``, run one ``semiring.reduce`` per non-empty row.
+    matching ufunc, run one ``semiring.reduce`` per non-empty row.
     """
     b = segment._check_dense(a, b)
     if segment.reduce_ufunc(semiring) is not None:

@@ -1,27 +1,23 @@
 """Segmented-reduction host execution engine.
 
-Yang et al.'s *Design Principles for Sparse Matrix Multiplication on the
-GPU* frames row-split SpMM as gather + segmented reduce; this module
-brings the same structure to the host executor.  Every numeric hot
-path — ``reference_spmm_like``, ``CSRMatrix.row_normalized`` /
-``sym_normalized``, and ``gnn.aggregate`` — runs through here.  The
-implementations this engine replaced live on as parity oracles in the
-test tree (``tests/oracles/``) and are enforced by
-``tests/test_segment_engine.py``, ``tests/test_tiled_engine.py`` and
-``tests/test_max_fold.py``.
+Every numeric hot path — ``reference_spmm_like``,
+``CSRMatrix.row_normalized`` / ``sym_normalized``, and
+``gnn.aggregate`` — runs through here.  The implementations this engine
+replaced live on as parity oracles in the test tree
+(``tests/oracles/``) and are enforced by ``tests/test_segment_engine.py``,
+``tests/test_tiled_engine.py`` and ``tests/test_max_fold.py``.
 
-Sums (plus, mean) gather contributions and reduce them per CSR row with
-one ``ufunc.reduceat`` call.  Max and min run a row-stepped fold over
-the degree-sorted (jagged-diagonal) row order instead
+Every built-in reduction (plus, mean, max, min) runs one row-stepped
+fold over the degree-sorted (jagged-diagonal) row order
 (:class:`JaggedOrder`): step ``j`` gathers whole rows of the dense
 operand for the ``j``-th nonzero of every row longer than ``j`` — a
 contiguous slab, since those rows are a prefix of the order — and folds
-it into an ``(rows, T)`` accumulator, tracking the first winner inline
-with a strict ``>``.  This is GE-SpMM's Coalesced Row Caching on the
-host: each nonzero's ``(colind, value)`` is read once and shared across
-all output columns, and every access to the dense operand is a whole
-contiguous row.  Hub rows still unfinished when fewer rows remain than
-steps are reduced one block each.
+it into an ``(rows, T)`` accumulator; max/min track the first winner
+inline with a strict ``>``.  This is GE-SpMM's Coalesced Row Caching on
+the host: each nonzero's ``(colind, value)`` is read once and shared
+across all output columns, and every access to the dense operand is a
+whole contiguous row.  Hub rows still unfinished when fewer rows remain
+than steps are reduced one block each.
 
 The parity contract (see ``docs/PERFORMANCE.md``):
 
@@ -31,38 +27,33 @@ The parity contract (see ``docs/PERFORMANCE.md``):
   ``-0``, which no two implementations agree on (``reduceat`` and
   ``ufunc.at`` already differ).  The argmax is the first maximizer,
   exactly.
-* ``plus`` / ``mean`` reductions are bit-identical whenever the
-  accumulation is exact (integer-valued float32 operands, which the
-  parity suite locks in), and agree to tight ``allclose`` tolerances on
-  arbitrary floats.  ``np.add.reduceat`` does *not* reduce strictly
-  left-to-right (NumPy pairs segment tails), so a rounding-level
-  reassociation relative to the sequential scatter is unavoidable; all
-  existing kernel/oracle comparisons use ``allclose`` and are
-  insensitive to it.
+* ``plus`` / ``mean`` reductions add each row strictly left to right in
+  CSR order, in float32, starting from the row's first contribution
+  (hub tails merge as ``(acc + b0) + b1 + ...``), so they equal a
+  per-nonzero sequential loop under ``array_equal`` on arbitrary floats.
+  The sign of a row whose every contribution is ``-0`` is not pinned.
 
 Empty rows are never reduced: the output is pre-filled with the
 semiring identity and only non-empty rows are overwritten, so
 identities are exact by construction.
 
 Column tiling (the host analogue of GE-SpMM's coarse-grained warp
-merging, which reuses each loaded sparse row across feature tiles):
-both paths split the dense operand into column tiles and work inside
+merging, which reuses each loaded sparse row across feature tiles): the
+fold splits the dense operand into column tiles only when its state
+outgrows the workspace budget (:func:`fold_tile_width`) and works inside
 preallocated buffers drawn from a per-process pool, so peak transient
-memory is O(nnz·T) for sums (:func:`tile_width_for`) and O(rows·T) for
-the fold (:func:`fold_tile_width`) instead of O(nnz·N), and the working
-set stays cache-resident on wide operands.  Tiling columns never
-reorders a row's reduction, so the result is **bit-identical** to one
-full-width pass (the parity suite asserts exact equality against the
-untiled oracle across tile widths).  ``segment_spmm_like_multi`` runs K
-same-graph operands through one traversal sharing the pooled buffers
-and cached gather indices — the feature-width-batching primitive the
-serving layer coalesces concurrent requests onto.
+memory is O(rows·T) instead of O(nnz·N).  Tiling columns never reorders
+a row's reduction, so the result is **bit-identical** at every tile
+width.  ``segment_spmm_like_multi`` runs K same-graph operands through
+one traversal sharing the pooled buffers and the cached jagged order —
+the feature-width-batching primitive the serving layer coalesces
+concurrent requests onto.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,49 +67,40 @@ __all__ = [
     "segment_spmm_like_multi",
     "segment_max_with_argmax",
     "reduce_ufunc",
-    "tile_width_for",
     "clear_workspace_pool",
     "workspace_stats",
 ]
 
 #: Assumed last-level-cache size for the tile-width heuristic.  The
-#: workspace budget is a quarter of it: the gather workspace shares the
-#: LLC with the dense-operand tile, the reduction output, and whatever
-#: else the process keeps warm.  Deliberately a fixed constant (not
+#: workspace budget is a quarter of it: the fold state shares the LLC
+#: with the dense-operand tile, the reduction output, and whatever else
+#: the process keeps warm.  Deliberately a fixed constant (not
 #: probed) so tile choices — and therefore the bit-exact telemetry —
 #: are reproducible across hosts.
 _LLC_BYTES = 32 * 1024 * 1024
 _WORKSPACE_BUDGET = _LLC_BYTES // 4
 
 
-def tile_width_for(nnz: int, n: int) -> int:
-    """Tile width for an ``(nnz, n)`` contributions matrix.
-
-    The largest multiple of 8 whose ``(nnz, T)`` float32 workspace fits
-    the LLC budget, floored at 8 and capped at ``n``.
-    """
-    if nnz <= 0 or n <= 0:
-        return max(n, 1)
-    t = _WORKSPACE_BUDGET // (4 * nnz)
-    if t >= n:
-        return n
-    return min(n, max(8, (t // 8) * 8))
-
-
 class _WorkspacePool:
     """Per-process pool of flat float32 scratch buffers.
 
-    The tiled executor draws its ``(nnz, T)`` gather workspace, the
-    max/min fold's state and the ``(K, T)`` operand-tile buffer from
+    The fold draws its state and the ``(K, T)`` operand-tile buffer from
     here, so steady-state SpMM calls allocate nothing:
     ``segment.workspace.reuses`` counts pool hits, ``.allocs`` fresh
     buffers, and the ``segment.workspace.bytes_peak`` gauge tracks the
     high-water mark of pool-owned bytes.  Thread-safe
     (sweep workers share the process pool); the free list is capped so
     a one-off giant operand cannot pin memory forever.
+
+    Requests are rounded up to a size class with five significant bits,
+    so a buffer exceeds its request by less than 1/16: the fold's state
+    size drifts with every edit of a changing graph, and without classes
+    each slightly larger request would allocate afresh and fill the free
+    list with near-duplicates.
     """
 
     _MAX_FREE = 4
+    _CLASS_BITS = 5
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -128,6 +110,8 @@ class _WorkspacePool:
 
     def acquire(self, n_elems: int) -> np.ndarray:
         n_elems = int(n_elems)
+        step = 1 << max(0, n_elems.bit_length() - self._CLASS_BITS)
+        n_elems = -(-n_elems // step) * step
         reg = obs.get_registry()
         with self._lock:
             best = -1
@@ -191,9 +175,9 @@ def workspace_stats() -> dict:
     return _POOL.stats()
 
 
-#: semiring ``reduce`` callable -> the ufunc whose ``reduceat``
-#: implements it.  Semirings outside this map (user-defined reductions)
-#: run ``reference_spmm_like``'s per-row loop instead.
+#: semiring ``reduce`` callable -> the ufunc the fold reduces with.
+#: Semirings outside this map (user-defined reductions) run
+#: ``reference_spmm_like``'s per-row loop instead.
 _REDUCE_UFUNCS = {
     np.add.reduce: np.add,
     np.maximum.reduce: np.maximum,
@@ -248,7 +232,7 @@ def _require_ufunc(semiring: Semiring) -> np.ufunc:
     ufunc = reduce_ufunc(semiring)
     if ufunc is None:
         raise NotImplementedError(
-            f"semiring {semiring.name!r} has no reduceat-capable reduction; "
+            f"semiring {semiring.name!r} has no built-in ufunc reduction; "
             "use reference_spmm_like"
         )
     return ufunc
@@ -268,66 +252,6 @@ def _prepare_out(
     return out
 
 
-def _nonempty_starts(a: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """(nonempty-row mask, their segment starts) — the shared traversal
-    state every tile of every operand reuses."""
-    rowptr = a.rowptr64()
-    starts = rowptr[:-1]
-    nonempty = rowptr[1:] > starts
-    return nonempty, starts[nonempty]
-
-
-def _gathered_tiles(
-    a: CSRMatrix, bs: Sequence[np.ndarray], semiring: Semiring, ufunc: np.ufunc
-) -> Iterator[Tuple[int, slice, np.ndarray]]:
-    """The sums' tile loop: yield ``(k, cols, contributions)`` for every
-    column tile ``cols`` of every operand ``bs[k]``.
-
-    The pooled ``(nnz, T)`` workspace (and, when an operand is wider
-    than one tile, the ``(K, T)`` operand-tile buffer) is acquired once
-    for all operands and released when the loop ends.  Each yielded
-    ``contributions`` is a view of the workspace holding
-    ``combine(A.values, B[colind, cols])`` in CSR order; it is
-    overwritten by the next tile, so callers reduce it before resuming.
-    Nothing is yielded when the matrix has no nonzeros or every operand
-    is zero-width.
-    """
-    n_max = max((b.shape[1] for b in bs), default=0)
-    if not (a.nnz and n_max):
-        return
-    tile_max = tile_width_for(a.nnz, n_max)
-    idx = a.colind64()
-    vals = a.values[:, None]
-    reg = obs.get_registry()
-    ws = _POOL.acquire(a.nnz * tile_max)
-    bt = _POOL.acquire(a.ncols * tile_max) if tile_max < n_max else None
-    try:
-        for k, b in enumerate(bs):
-            n = b.shape[1]
-            if not n:
-                continue
-            reg.counter("segment.reduce_calls", op=ufunc.__name__).inc()
-            tile = min(tile_max, n)
-            for lo in range(0, n, tile):
-                w = min(tile, n - lo)
-                if tile < n:
-                    src = bt[: a.ncols * w].reshape(a.ncols, w)
-                    np.copyto(src, b[:, lo : lo + w])
-                else:
-                    src = b  # one tile spans the full width: gather in place
-                wsv = ws[: a.nnz * w].reshape(a.nnz, w)
-                # mode="clip" keeps np.take unbuffered (indices are
-                # validated at construction, so clipping never fires).
-                np.take(src, idx, axis=0, out=wsv, mode="clip")
-                semiring.combine_into(vals, wsv, wsv)
-                yield k, slice(lo, lo + w), wsv
-                reg.counter("segment.tiles", op=ufunc.__name__).inc()
-    finally:
-        if bt is not None:
-            _POOL.release(bt)
-        _POOL.release(ws)
-
-
 def _spmm_like_into(
     a: CSRMatrix,
     bs: Sequence[np.ndarray],
@@ -335,22 +259,16 @@ def _spmm_like_into(
     ufunc: np.ufunc,
     outs: List[np.ndarray],
 ) -> List[np.ndarray]:
-    """Reduce every operand into its pre-filled output — ``reduceat``
-    over the gathered tiles for sums, the jagged-diagonal fold for
-    max/min — then apply the semiring's finalize."""
-    if ufunc is np.add:
-        nonempty, ne_starts = _nonempty_starts(a)
-        for k, cols, contributions in _gathered_tiles(a, bs, semiring, ufunc):
-            outs[k][nonempty, cols] = ufunc.reduceat(contributions, ne_starts, axis=0)
-    else:
-        _fold(a, bs, semiring, ufunc, outs)
+    """Fold every operand into its pre-filled output, then apply the
+    semiring's finalize."""
+    _fold(a, bs, semiring, ufunc, outs)
     for out in outs:
         semiring.finalize_into(out, a.row_lengths())
     return outs
 
 
 # ----------------------------------------------------------------------
-# Max/min: a row-stepped fold over the jagged-diagonal order
+# The row-stepped fold over the jagged-diagonal order
 # ----------------------------------------------------------------------
 
 
@@ -429,19 +347,24 @@ def _fold(
     outs: List[np.ndarray],
     argmaxes: Optional[List[np.ndarray]] = None,
 ) -> None:
-    """Max/min-reduce every operand into its pre-filled output (and,
-    with ``argmaxes``, record each cell's first winning nonzero).
+    """Reduce every operand into its pre-filled output with ``ufunc``
+    (add, maximum or minimum) and, with ``argmaxes`` (max/min only),
+    record each cell's first winning nonzero.
 
     Per column tile, step ``j`` of :class:`JaggedOrder` gathers whole
     rows of B for the ``j``-th nonzero of every row longer than ``j``
     into a contiguous ``(cnt[j], T)`` slab, scales it, and folds it into
-    the accumulator; a strict ``>`` (``<`` for min) keeps the first
-    winner, PyTorch ``scatter_max`` semantics.  Rows still unfinished at
-    the switch step are reduced one ``(len, T)`` block each (split into
-    chunks that fit the workspace budget) and merged the same way.  Rows
-    are scattered back through ``perm`` at the end; NaN cells get argmax
-    ``-1``.  One pooled buffer holds the fold state for all operands,
-    and a second the operand tile when B is wider than one tile.
+    the accumulator, so every row reduces left to right; a strict ``>``
+    (``<`` for min) keeps the first winner, PyTorch ``scatter_max``
+    semantics.  Rows still unfinished at the switch step are reduced one
+    ``(len, T)`` block each (split into chunks that fit the workspace
+    budget) and merged into the accumulator: sums run
+    ``add.accumulate`` over the block after adding the accumulator into
+    its first row, which keeps the order ``(acc + b0) + b1 + ...``.
+    Rows are scattered back through ``perm`` at the end; NaN cells get
+    argmax ``-1``.  One pooled buffer holds the fold state for all
+    operands, and a second the operand tile when B is wider than one
+    tile.
     """
     jo = jagged_order(a)
     rows = jo.perm.size
@@ -472,11 +395,12 @@ def _fold(
     state = tile_max * ((2 * rows if want_arg else rows) + slab_rows)
     buf = _POOL.acquire(state + (-(-rows * tile_max // 4) if want_arg else 0))
     bt = _POOL.acquire(a.ncols * tile_max) if tile_max < n_max else None
-    better = np.greater if ufunc is np.maximum else np.less
-    pick = np.argmax if ufunc is np.maximum else np.argmin
+    if want_arg:
+        better = np.greater if ufunc is np.maximum else np.less
+        pick = np.argmax if ufunc is np.maximum else np.argmin
+        starts = row_lo.astype(np.int32)[:, None]
     cnt, ptr = jo.cnt[:switch].tolist(), jo.ptr.tolist()
     step_col, step_val = jo.col, jo.val[:, None]
-    starts = row_lo.astype(np.int32)[:, None]
     reg = obs.get_registry()
     try:
         for k, b in enumerate(bs):
@@ -524,6 +448,13 @@ def _fold(
                     blk = slab[: t1 - t0]
                     np.take(src, colind[t0:t1], axis=0, out=blk, mode="clip")
                     semiring.combine_into(vals[t0:t1], blk, blk)
+                    if ufunc is np.add:
+                        # add.reduce pairs terms; accumulate is sequential.
+                        if rank:
+                            np.add(acc[r], blk[0], out=blk[0])
+                        np.add.accumulate(blk, axis=0, out=blk)
+                        acc[r] = blk[-1]
+                        continue
                     red = ufunc.reduce(blk, axis=0)
                     if rank == 0:
                         acc[r] = red
@@ -555,11 +486,10 @@ def segment_spmm_like(
     semiring: Semiring,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """SpMM-like execution: gather + segmented reduce for sums, the
-    jagged-diagonal fold for max/min.
+    """SpMM-like execution through the jagged-diagonal fold.
 
     Runs the column-tiled, workspace-pooled executor: peak transient
-    memory O(nnz·T), bit-identical to one full-width reduction.
+    memory O(rows·T), bit-identical to one full-width reduction.
     ``out`` (a float32 ``(M, N)`` buffer) lets callers reuse output
     storage across calls — the serving layer's steady state.
 
@@ -582,12 +512,12 @@ def segment_spmm_like_multi(
     """K same-graph SpMM-like executions through one shared traversal.
 
     The feature-width-batching primitive for multi-tenant serving: all
-    operands share the cached gather indices, the nonempty-row segment
-    starts, and **one** pooled workspace acquisition (the tile loop
-    reuses the same buffers operand after operand), so coalescing K
-    requests costs one gather's worth of ``segment.workspace.allocs``
-    instead of K.  Operand widths may differ.  Each output is
-    byte-identical to the corresponding ``segment_spmm_like`` call.
+    operands share the cached jagged order and **one** pooled workspace
+    acquisition (the tile loop reuses the same buffers operand after
+    operand), so coalescing K requests costs one fold's worth of
+    ``segment.workspace.allocs`` instead of K.  Operand widths may
+    differ.  Each output is byte-identical to the corresponding
+    ``segment_spmm_like`` call.
     """
     ufunc = _require_ufunc(semiring)
     bs = [_check_dense(a, b) for b in bs]

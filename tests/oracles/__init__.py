@@ -2,16 +2,18 @@
 trace replay.
 
 Test-only: nothing under ``src/`` imports this package
-(``tests/test_api_surface.py`` enforces it).  Every oracle is an
-implementation that production code replaced, kept unchanged apart from
-its name so the parity suites and the microbenchmark baselines compare
-against the same bodies as before:
+(``tests/test_api_surface.py`` enforces it).  Every oracle but
+``sequential_spmm_like`` is an implementation that production code
+replaced, kept unchanged apart from its name so the parity suites and
+the microbenchmark baselines compare against the same bodies as before:
 
 * :mod:`.segment` — ``scatter_segment_reduce`` (reference for
   ``segment_reduce``), ``scatter_spmm_like`` (for ``segment_spmm_like``
   and ``reference_spmm_like``), ``untiled_spmm_like`` and
-  ``untiled_max_with_argmax`` (the single-tile bodies the column-tiled
-  executor must match), ``segment_argmax`` / ``_sparse_nonzero`` (the
+  ``untiled_max_with_argmax`` (the single-tile ``reduceat`` bodies,
+  max/min references and microbenchmark baselines),
+  ``sequential_spmm_like`` (the per-nonzero left-to-right loop, the bit
+  reference for plus/mean), ``segment_argmax`` / ``_sparse_nonzero`` (the
   equality-pass argmax, reference for the max/min fold's inline
   first-maximizer argmax) and ``loop_to_dense`` (for
   ``CSRMatrix.to_dense``'s accumulating fallback);

@@ -1,5 +1,6 @@
-"""Scatter and untiled references for ``repro.sparse.segment`` and
-``CSRMatrix.to_dense`` (what each one checks: ``tests/oracles/__init__.py``)."""
+"""Scatter, untiled and sequential references for
+``repro.sparse.segment`` and ``CSRMatrix.to_dense`` (what each one
+checks: ``tests/oracles/__init__.py``)."""
 
 from __future__ import annotations
 
@@ -87,6 +88,24 @@ def untiled_spmm_like(
         contributions = semiring.combine(a.values[:, None], b[a.colind64()])
         segment_reduce(contributions, a.rowptr, ufunc, semiring.init, out=out)
     return semiring.finalize_into(out, a.row_lengths())
+
+
+def sequential_spmm_like(a: CSRMatrix, b: np.ndarray, semiring: Semiring) -> np.ndarray:
+    """One float32 ``reduce_pair`` per nonzero: each row starts from its
+    first contribution and accumulates the rest in CSR order, then the
+    semiring's finalize runs.  The bit reference for plus/mean, whose
+    fold adds every row strictly left to right."""
+    b = _check_dense(a, b)
+    out = np.full((a.nrows, b.shape[1]), semiring.init, dtype=VALUE_DTYPE)
+    contributions = semiring.combine(a.values[:, None], b[a.colind64()])
+    for i in range(a.nrows):
+        lo, hi = int(a.rowptr[i]), int(a.rowptr[i + 1])
+        if hi > lo:
+            acc = contributions[lo]
+            for k in range(lo + 1, hi):
+                acc = semiring.reduce_pair(acc, contributions[k])
+            out[i] = acc
+    return semiring.finalize(out, a.row_lengths()).astype(VALUE_DTYPE)
 
 
 def loop_to_dense(a: CSRMatrix) -> np.ndarray:

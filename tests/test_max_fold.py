@@ -1,15 +1,18 @@
-"""Differential suite for the max/min fold of ``repro.sparse.segment``.
+"""Differential suite for the jagged-diagonal fold of
+``repro.sparse.segment``.
 
-Max and min SpMM-like calls, with and without the inline argmax, run a
-row-stepped fold over the degree-sorted (jagged-diagonal) row order,
-switching to per-row block reductions for the hub tails.  Every result
-here is checked against two independent references from
-``tests/oracles/segment.py``: the ``ufunc.at`` scatter
-(``scatter_spmm_like``) for values, and the untiled ``reduceat`` body
-plus the equality-pass ``segment_argmax`` for winners.  Inputs cover
-empty rows, ``nnz == 0``, widths around the 8-lane boundary, NaN, ±inf
-and ±0 operands, forced column tiles, and star graphs that force the
-per-row tail path, including a switch at step 0.
+Every built-in SpMM-like call — plus, mean, and max/min with and
+without the inline argmax — runs a row-stepped fold over the
+degree-sorted (jagged-diagonal) row order, switching to per-row block
+reductions for the hub tails.  Max/min results are checked against two
+independent references from ``tests/oracles/segment.py``: the
+``ufunc.at`` scatter (``scatter_spmm_like``) for values, and the
+untiled ``reduceat`` body plus the equality-pass ``segment_argmax`` for
+winners.  Plus/mean results must equal the per-nonzero sequential loop
+(``sequential_spmm_like``) under ``array_equal`` on arbitrary floats.
+Inputs cover empty rows, ``nnz == 0``, widths around the 8-lane
+boundary, NaN, ±inf and ±0 operands, forced column tiles, and star
+graphs that force the per-row tail path, including a switch at step 0.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.semiring import MAX_TIMES, MIN_TIMES
+from repro.semiring import MAX_TIMES, MEAN_TIMES, MIN_TIMES, PLUS_TIMES
 from repro.sparse import (
     clear_workspace_pool,
     csr_from_coo,
@@ -35,10 +38,22 @@ from repro.sparse import (
     workspace_stats,
 )
 from repro.sparse.segment import jagged_order
-from tests.oracles.segment import scatter_spmm_like, segment_argmax
+from tests.oracles.segment import (
+    scatter_spmm_like,
+    segment_argmax,
+    sequential_spmm_like,
+)
 from tests.strategies import csr_matrices, degenerate_csr
 
 WIDTHS = [0, 1, 7, 8, 9, 65]
+SEMIRINGS = pytest.mark.parametrize(
+    "semiring",
+    [MAX_TIMES, MIN_TIMES, PLUS_TIMES, MEAN_TIMES],
+    ids=["max", "min", "plus", "mean"],
+)
+#: Fold runs per check(): for max the argmax helper, segment_spmm_like
+#: and segment_max_with_argmax; for min the first two; for sums one.
+FOLDS_PER_CHECK = {MAX_TIMES: 3, MIN_TIMES: 2, PLUS_TIMES: 1, MEAN_TIMES: 1}
 SPECIALS = np.array(
     [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0], dtype=np.float32
 )
@@ -93,7 +108,15 @@ def fold_with_argmax(a, b, semiring):
     return out, argmax
 
 
+def is_sum(semiring):
+    return segment.reduce_ufunc(semiring) is np.add
+
+
 def check(a, b, semiring):
+    if is_sum(semiring):
+        want = sequential_spmm_like(a, b, semiring)
+        np.testing.assert_array_equal(segment_spmm_like(a, b, semiring), want)
+        return
     want_out, want_arg = oracle(a, b, semiring)
     scatter = scatter_spmm_like(a, b, semiring)
     np.testing.assert_array_equal(want_out, scatter)
@@ -128,7 +151,7 @@ def lone_rows(lengths, k=40):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("semiring", [MAX_TIMES, MIN_TIMES], ids=["max", "min"])
+@SEMIRINGS
 @pytest.mark.parametrize("tile", [None, 1, 3])
 @given(
     a=csr_matrices(),
@@ -143,7 +166,7 @@ def test_fold_matches_oracles(semiring, tile, a, n, seed, special):
         check(a, b, semiring)
 
 
-@pytest.mark.parametrize("semiring", [MAX_TIMES, MIN_TIMES], ids=["max", "min"])
+@SEMIRINGS
 @pytest.mark.parametrize("name", sorted(degenerate_csr()))
 @pytest.mark.parametrize("n", WIDTHS)
 def test_fold_degenerate_shapes(semiring, name, n):
@@ -177,7 +200,7 @@ def test_multi_operands_match_single_calls():
     ],
     ids=["star", "star-mid-hub", "single-row", "two-equal-rows", "mixed"],
 )
-@pytest.mark.parametrize("semiring", [MAX_TIMES, MIN_TIMES], ids=["max", "min"])
+@SEMIRINGS
 @pytest.mark.parametrize("n", [1, 9, 65])
 def test_tail_path_runs_and_matches(make, switch, tail_rows, semiring, n):
     a = make()
@@ -188,23 +211,24 @@ def test_tail_path_runs_and_matches(make, switch, tail_rows, semiring, n):
     with fresh_registry() as reg, fold_tile(4):
         check(a, b, semiring)
         tiles = -(-n // 4)
-        op = "maximum" if semiring is MAX_TIMES else "minimum"
+        op = segment.reduce_ufunc(semiring).__name__
         ran = reg.counter("segment.fold.tail_rows", op=op)
-        # check() runs the fold three times for max (oracle helper,
-        # segment_spmm_like, segment_max_with_argmax) and twice for min.
-        calls = 3 if semiring is MAX_TIMES else 2
-        assert ran.value == calls * tiles * tail_rows
+        assert ran.value == FOLDS_PER_CHECK[semiring] * tiles * tail_rows
 
 
-@pytest.mark.parametrize("semiring", [MAX_TIMES, MIN_TIMES], ids=["max", "min"])
+@SEMIRINGS
 def test_long_tails_reduce_in_budget_sized_chunks(semiring):
-    """A tail longer than the budget allows is reduced chunk by chunk;
-    integer operands tie across chunk borders, where the earlier chunk
-    must keep the win."""
+    """A tail longer than the budget allows is reduced chunk by chunk.
+    For max/min, integer operands tie across chunk borders, where the
+    earlier chunk must keep the win; for sums, float operands pin the
+    order in which each chunk merges into the running sum."""
     a = lone_rows([100, 0, 3, 90], k=100)
     assert jagged_order(a).switch == 0
     rng = np.random.default_rng(5)
-    b = rng.integers(-2, 3, size=(a.ncols, 9)).astype(np.float32)
+    if is_sum(semiring):
+        b = rng.standard_normal((a.ncols, 9)).astype(np.float32)
+    else:
+        b = rng.integers(-2, 3, size=(a.ncols, 9)).astype(np.float32)
     clear_workspace_pool()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segment, "_WORKSPACE_BUDGET", 4 * 9 * 7)  # 7-row chunks

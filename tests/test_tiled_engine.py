@@ -2,18 +2,21 @@
 executor.
 
 Locks the tiling contract in ``repro.sparse.segment``'s docstring: the
-tiled path must be **bit-identical** to the untiled engine body
-(``tests/oracles/segment.py``) for every tile geometry (T=1, T >= N, N % T != 0), every reduceat-capable
-reduction (add / maximum / minimum, plus mean's finalize), and every
-edge shape (empty rows, empty matrices, zero-width operands) — tiles
-never split a row's reduction, so even float32 addition associates
-identically.  Tile widths are forced by patching the module's
-``tile_width_for`` and ``fold_tile_width`` (:func:`forced_tile`).
-Also covers the workspace pool (reuse/alloc counters, free-list cap,
-clearing), the multi-operand batching primitive (byte parity with
-per-operand calls, one gather's worth of allocations), the pad path of
-the ``_sparse_nonzero`` oracle that keeps non-multiple-of-8 widths on
-the uint64 prefilter, and the fused ``segment_max_with_argmax`` fold
+tiled path must be **bit-identical** to a reference
+(``tests/oracles/segment.py``) for every tile geometry (T=1, T >= N,
+N % T != 0), every built-in reduction (add / maximum / minimum, plus
+mean's finalize), and every edge shape (empty rows, empty matrices,
+zero-width operands).  Plus and mean are checked against the
+per-nonzero sequential loop ``sequential_spmm_like`` on arbitrary
+floats — tiles never split a row's reduction, and the fold adds every
+row strictly left to right; max and min against the untiled
+``reduceat`` body.  Tile widths are forced by patching the module's
+``fold_tile_width`` (:func:`forced_tile`).  Also covers the workspace
+pool (reuse/alloc counters, size classes, free-list cap, clearing), the
+multi-operand batching primitive (byte parity with per-operand calls,
+one fold's worth of allocations), the pad path of the
+``_sparse_nonzero`` oracle that keeps non-multiple-of-8 widths on the
+uint64 prefilter, and the fused ``segment_max_with_argmax`` fold
 ``aggregate_max`` runs on.
 """
 
@@ -36,7 +39,6 @@ from repro.sparse import (
     segment_max_with_argmax,
     segment_spmm_like,
     segment_spmm_like_multi,
-    tile_width_for,
     uniform_random,
     workspace_stats,
 )
@@ -46,6 +48,7 @@ from tests.oracles import use_scatter_oracles
 from tests.oracles.segment import (
     _sparse_nonzero,
     segment_argmax,
+    sequential_spmm_like,
     untiled_max_with_argmax,
     untiled_spmm_like,
 )
@@ -55,23 +58,25 @@ from tests.strategies import SEMIRINGS, csr_matrices, dense_operand
 @contextmanager
 def forced_tile(tile):
     """Pin the executor's tile width for a scope (None keeps the
-    heuristic); the sum tile loop and the max/min fold look
-    ``tile_width_for`` / ``fold_tile_width`` up per call."""
+    heuristic); the fold looks ``fold_tile_width`` up per call."""
     with pytest.MonkeyPatch.context() as mp:
         if tile is not None:
-            pinned = lambda rows, n: max(1, min(tile, n))
-            mp.setattr(segment, "tile_width_for", pinned)
-            mp.setattr(segment, "fold_tile_width", pinned)
+            mp.setattr(segment, "fold_tile_width", lambda rows, n: max(1, min(tile, n)))
         yield
 
 
-def _untiled(a, b, sr):
+def _reference(a, b, sr):
+    """The bit reference: the sequential loop for plus/mean, the
+    untiled ``reduceat`` body for max/min."""
+    ufunc = reduce_ufunc(sr)
+    if ufunc is np.add:
+        return sequential_spmm_like(a, b, sr)
     out = np.full((a.nrows, b.shape[1]), sr.init, dtype=np.float32)
-    return untiled_spmm_like(a, b, sr, reduce_ufunc(sr), out)
+    return untiled_spmm_like(a, b, sr, ufunc, out)
 
 
 # ----------------------------------------------------------------------
-# tiled vs. untiled bit parity
+# tiled vs. reference bit parity
 # ----------------------------------------------------------------------
 
 
@@ -80,11 +85,12 @@ def _untiled(a, b, sr):
 @given(a=csr_matrices(), n=st.integers(1, 40), seed=st.integers(0, 2**20))
 @settings(max_examples=25, deadline=None)
 def test_tiled_bit_identical_to_untiled(name, tile, a, n, seed):
-    """Bit parity for every reduction: tiles never split a row segment,
-    so even the float32 add accumulates in the identical order."""
+    """Bit parity for every reduction on arbitrary floats: tiles never
+    split a row segment, so even the float32 add accumulates in the
+    sequential order."""
     sr = SEMIRINGS[name]
     b = dense_operand(a, n, seed)
-    want = _untiled(a, b, sr)
+    want = _reference(a, b, sr)
     with forced_tile(tile):
         got = segment_spmm_like(a, b, sr)
     np.testing.assert_array_equal(got, want)
@@ -100,7 +106,7 @@ def test_tiled_parity_on_power_law(name):
     sr = SEMIRINGS[name]
     a = power_law(300, 4000, seed=7, weighted=True)
     b = dense_operand(a, 100, seed=3)
-    want = _untiled(a, b, sr)
+    want = _reference(a, b, sr)
     for tile in (1, 8, 33, 100, 512, None):
         with forced_tile(tile):
             np.testing.assert_array_equal(segment_spmm_like(a, b, sr), want)
@@ -124,22 +130,11 @@ def test_out_buffer_reused_and_validated():
     out = np.empty((a.nrows, 10), dtype=np.float32)
     got = segment_spmm_like(a, b, PLUS_TIMES, out=out)
     assert got is out
-    np.testing.assert_array_equal(out, _untiled(a, b, PLUS_TIMES))
+    np.testing.assert_array_equal(out, _reference(a, b, PLUS_TIMES))
     with pytest.raises(ValueError):
         segment_spmm_like(a, b, PLUS_TIMES, out=np.empty((a.nrows, 9), np.float32))
     with pytest.raises(ValueError):
         segment_spmm_like(a, b, PLUS_TIMES, out=np.empty((a.nrows, 10), np.float64))
-
-
-def test_tile_width_heuristic_shape():
-    # Small problems run untiled (one full-width tile)...
-    assert tile_width_for(100, 64) == 64
-    # ...large ones tile at a multiple of 8 (argmax prefilter stays
-    # applicable), floored at 8, capped at n.
-    big = tile_width_for(1_000_000, 4096)
-    assert 8 <= big < 4096 and big % 8 == 0
-    assert tile_width_for(10**9, 4096) == 8
-    assert tile_width_for(0, 0) >= 1
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +176,27 @@ def test_workspace_pool_free_list_capped():
             _POOL.release(buf)
         stats = workspace_stats()
         assert stats["free_buffers"] == _POOL._MAX_FREE
-        # Cap policy keeps the largest buffers.
-        assert min(b.size for b in _POOL._free) == 100 * 5
+        # Cap policy keeps the largest buffers (the last four acquired).
+        assert sorted(b.size for b in _POOL._free) == [b.size for b in bufs[4:]]
     finally:
         clear_workspace_pool()
+
+
+def test_workspace_pool_size_classes_absorb_drift():
+    """Requests that creep up one element at a time (a fold's state on a
+    graph under edits) reuse a buffer from their size class instead of
+    allocating afresh each time."""
+    prev = obs.set_registry(MetricsRegistry())
+    clear_workspace_pool()
+    try:
+        for n in range(1000, 1064):
+            buf = _POOL.acquire(n)
+            assert buf.size >= n and buf.size - n < n / 16
+            _POOL.release(buf)
+        assert obs.get_registry().counter("segment.workspace.allocs").value <= 2
+    finally:
+        clear_workspace_pool()
+        obs.set_registry(prev)
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +217,8 @@ def test_multi_byte_identical_to_per_operand_loop():
 
 
 def test_multi_shares_one_workspace_acquisition():
-    """Coalescing K operands must cost one gather's worth of workspace
-    allocations (ws + operand-tile buffer), not K."""
+    """Coalescing K operands must cost one fold's worth of workspace
+    allocations (fold state + operand-tile buffer), not K."""
     a = power_law(300, 5000, seed=6, weighted=True)
     bs = [dense_operand(a, 64, seed=n) for n in range(6)]
     prev = obs.set_registry(MetricsRegistry())
@@ -237,7 +249,7 @@ def test_multi_mixed_widths_empty_and_outs():
 def test_multi_untiled_fallback_matches():
     a = uniform_random(25, 120, seed=9, weighted=True)
     bs = [dense_operand(a, n, seed=n) for n in (4, 11)]
-    off = [_untiled(a, b, PLUS_TIMES) for b in bs]
+    off = [_reference(a, b, PLUS_TIMES) for b in bs]
     on = segment_spmm_like_multi(a, bs, PLUS_TIMES)
     for got, want in zip(on, off):
         np.testing.assert_array_equal(got, want)
